@@ -46,7 +46,9 @@ use context::FileContext;
 use diag::Diagnostic;
 
 /// Directories never scanned: build output, VCS, and the linter's own
-/// seeded-violation fixture corpus.
+/// seeded-violation fixture corpus. Nested cargo workspaces (a subdirectory
+/// whose `Cargo.toml` declares its own `[workspace]`) are skipped too: they
+/// build apart from this workspace and keep their own conventions.
 const SKIP_RELATIVE: &[&str] = &["target", ".git", "crates/analyze/tests/fixtures"];
 
 /// Analyze one file's source under its workspace-relative path, applying
@@ -206,7 +208,8 @@ pub fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
 }
 
 /// Every `.rs` file under `root` in deterministic (sorted) order, as
-/// `(workspace-relative path, absolute path)` pairs.
+/// `(workspace-relative path, absolute path)` pairs. Nested cargo workspaces
+/// below `root` are not part of it and are skipped.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
     walk(root, root, &mut out)?;
@@ -222,7 +225,11 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result
         let rel = relative(root, &path);
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
         if path.is_dir() {
-            if name.starts_with('.') || SKIP_RELATIVE.contains(&rel.as_str()) || name == "target" {
+            if name.starts_with('.')
+                || SKIP_RELATIVE.contains(&rel.as_str())
+                || name == "target"
+                || declares_workspace(&path)
+            {
                 continue;
             }
             walk(root, &path, out)?;
@@ -244,15 +251,18 @@ fn relative(root: &Path, path: &Path) -> String {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if declares_workspace(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Whether `dir` holds a `Cargo.toml` with a `[workspace]` table header.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 #[cfg(test)]
@@ -296,6 +306,27 @@ mod tests {
         assert_eq!(diags.len(), 2);
         assert!(diags.iter().any(|d| d.rule == "d1" && d.suppressed.is_none()));
         assert!(diags.iter().any(|d| d.rule == "pragma" && d.message.contains("unused")));
+    }
+
+    #[test]
+    fn walk_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("analyze-walk-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/a\"]\n");
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "pub fn a() {}\n");
+        write("tools/own/Cargo.toml", "[package]\nname = \"own\"\n\n[workspace]\n");
+        write("tools/own/src/main.rs", "fn main() {}\n");
+        write("tools/loose.rs", "fn loose() {}\n");
+
+        let files: Vec<String> =
+            workspace_files(&root).unwrap().into_iter().map(|(rel, _)| rel).collect();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(files, ["crates/a/src/lib.rs", "tools/loose.rs"]);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   resident (proposal, site) threads hiding memory latency, so the curve
 //!   rises until occupancy saturates.
 //!
-//! Requires `--features device`:
-//! `cargo bench -p benchkit --features device --bench device`.
+//! Run with `cargo bench -p benchkit --bench device`.
 
 use benchkit::{harness_rng, render_table, simulate_alignment};
 use exec::{Backend, DeviceReport, DeviceSpec, Queue};

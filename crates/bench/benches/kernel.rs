@@ -6,10 +6,7 @@
 //! seam), full workspace builds, and batched dirty-path rescoring, serial
 //! and rayon.
 //!
-//! Run with `cargo bench -p benchkit --features simd --bench kernel`.
-//! Without `--features simd` the `Kernel::Simd` request falls back to the
-//! scalar kernel at runtime, so the A/B collapses to ~1.0× — the summary
-//! says so explicitly rather than reporting a fake win.
+//! Run with `cargo bench -p benchkit --bench kernel`.
 //!
 //! Kernel throughput is codegen-sensitive: under the default x86-64 baseline
 //! (SSE2) the four-lane kernel wins ~1.3–1.5×; compiled for a wider target
@@ -175,13 +172,6 @@ fn throughput_summary() {
         Kernel::Auto.variant(),
         if host.is_empty() { "baseline".to_string() } else { host.join("+") }
     );
-    if !Kernel::simd_compiled() {
-        println!(
-            "kernel summary: built WITHOUT --features simd; Kernel::Simd falls back to \
-             scalar, so no A/B is reported (rebuild with --features simd)."
-        );
-        return;
-    }
 
     // Pure kernel at the engine's own chunk size: a >=1 kb alignment is
     // walked in PATTERN_CHUNK = 256-pattern chunks, so this is exactly the

@@ -37,9 +37,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use benchkit::json::Json;
 use benchkit::{harness_rng, simulate_alignment};
 use coalescent::CoalescentSimulator;
+use codec::Json;
 use exec::Backend;
 use lamarc::GenealogyProposer;
 use mcmc::diagnostics::effective_sample_size;
@@ -594,9 +594,8 @@ fn check_against(current: &Json, baseline_path: &str, smoke: bool) -> Result<(),
 fn run(opts: &Opts) -> Result<(), String> {
     let features = host_cpu_features();
     println!(
-        "perf trajectory ({} mode): simd_compiled={}, auto resolves to {}, host cpu {}",
+        "perf trajectory ({} mode): auto resolves to {}, host cpu {}",
         if opts.smoke { "smoke" } else { "full" },
-        Kernel::simd_compiled(),
         Kernel::Auto.variant(),
         if features.is_empty() { "baseline".to_string() } else { features.join("+") }
     );
@@ -619,7 +618,6 @@ fn run(opts: &Opts) -> Result<(), String> {
                     "cpu_features".to_string(),
                     Json::Array(features.iter().map(|f| Json::string(*f)).collect()),
                 ),
-                ("simd_compiled".to_string(), Json::Bool(Kernel::simd_compiled())),
                 ("auto_variant".to_string(), Json::string(Kernel::Auto.variant().to_string())),
             ]),
         ),

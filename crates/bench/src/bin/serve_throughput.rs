@@ -14,8 +14,8 @@
 
 use std::process::ExitCode;
 
-use benchkit::json::Json;
 use benchkit::{harness_rng, render_table, simulate_alignment};
+use codec::Json;
 use exec::Backend;
 use mpcgs::{Dataset, JobQueue, JobSpec, MpcgsConfig, ServeConfig, ServeReport};
 

@@ -11,8 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
-
 use coalescent::{CoalescentSimulator, SequenceSimulator};
 use mcmc::rng::Mt19937;
 use phylo::model::{BaseFrequencies, F84};

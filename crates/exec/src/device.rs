@@ -505,8 +505,7 @@ impl DeviceReport {
     }
 }
 
-/// The simulated command queue behind [`crate::Backend::Device`] (`device`
-/// feature).
+/// The simulated command queue behind [`crate::Backend::Device`].
 ///
 /// Work reaches the queue as *submissions* — one per dispatch-seam call
 /// (`map_grid`, `map_indexed`, reductions). Each submission is coalesced into
@@ -526,10 +525,8 @@ impl DeviceReport {
 /// ([`crate::Backend::map_mut`] visits items in order on the calling
 /// thread), which is also the physically honest model of one device shared
 /// by many chains.
-#[cfg(feature = "device")]
 pub struct Queue;
 
-#[cfg(feature = "device")]
 mod queue_state {
     use std::cell::RefCell;
 
@@ -791,7 +788,6 @@ mod tests {
         assert_eq!(empty.launch_overhead_fraction(), 0.0);
     }
 
-    #[cfg(feature = "device")]
     #[test]
     fn queue_accounts_submissions_per_thread() {
         // Run on a dedicated thread so concurrent tests cannot interleave

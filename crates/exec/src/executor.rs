@@ -30,16 +30,12 @@ use std::str::FromStr;
 
 use rayon::prelude::*;
 
-use crate::device::DeviceSpec;
-use crate::device::GridProfile;
-#[cfg(feature = "device")]
-use crate::device::Queue;
+use crate::device::{DeviceSpec, GridProfile, Queue};
 
 /// Modelled arithmetic charged per item for submissions that arrive without
 /// a [`GridProfile`] (plain `map_indexed`/`map_slice`/reductions on the
 /// device backend): the order of a small per-item task. Profiled grid
 /// submissions — the likelihood hot path — never use this.
-#[cfg(feature = "device")]
 const UNPROFILED_ITEM_FLOPS: f64 = 1_000.0;
 
 /// Where data-parallel work runs.
@@ -51,12 +47,11 @@ pub enum Backend {
     #[default]
     Rayon,
     /// Route every dispatch through the simulated accelerator command queue
-    /// ([`crate::device::Queue`], `device` cargo feature): submissions are
-    /// coalesced into batched kernel launches, executed synchronously on the
-    /// host (bit-identical to [`Backend::Serial`]), and charged against this
-    /// [`DeviceSpec`]'s cost model. The dress rehearsal for a real GPU
-    /// backend behind the same seam.
-    #[cfg(feature = "device")]
+    /// ([`crate::device::Queue`]): submissions are coalesced into batched
+    /// kernel launches, executed synchronously on the host (bit-identical to
+    /// [`Backend::Serial`]), and charged against this [`DeviceSpec`]'s cost
+    /// model. The dress rehearsal for a real GPU backend behind the same
+    /// seam.
     Device(DeviceSpec),
 }
 
@@ -70,7 +65,6 @@ impl fmt::Display for Backend {
         match self {
             Backend::Serial => f.write_str("serial"),
             Backend::Rayon => f.write_str("rayon"),
-            #[cfg(feature = "device")]
             Backend::Device(spec) => match spec.preset_name() {
                 Some(name) => write!(f, "device:{name}"),
                 None => f.write_str("device"),
@@ -83,8 +77,8 @@ impl FromStr for Backend {
     type Err = String;
 
     /// Parse a CLI-style backend name (case insensitive): `serial`, `rayon`,
-    /// or — with the `device` feature — `device` (Kepler-class default) and
-    /// `device:<preset>` (`device:kepler` / `device:modern`).
+    /// `device` (Kepler-class default) or `device:<preset>`
+    /// (`device:kepler` / `device:modern`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let lower = s.to_ascii_lowercase();
         match lower.as_str() {
@@ -95,17 +89,7 @@ impl FromStr for Backend {
                 let spec = DeviceSpec::from_preset(preset).ok_or_else(|| {
                     format!("unknown device preset {preset:?} (expected \"kepler\" or \"modern\")")
                 })?;
-                #[cfg(feature = "device")]
-                {
-                    Ok(Backend::Device(spec))
-                }
-                #[cfg(not(feature = "device"))]
-                {
-                    let _ = spec;
-                    Err("backend \"device\" requires a build with the `device` feature \
-                         (rebuild with `--features device`)"
-                        .to_string())
-                }
+                Ok(Backend::Device(spec))
             }
             other => Err(format!(
                 "unknown backend {other:?} (expected \"serial\", \"rayon\" or \"device[:preset]\")"
@@ -115,19 +99,16 @@ impl FromStr for Backend {
 }
 
 impl Backend {
-    /// The device backend over `spec` (`device` cargo feature). The spelled
-    /// constructor every driver uses: `Backend::device(DeviceSpec::kepler())`.
-    #[cfg(feature = "device")]
+    /// The device backend over `spec`. The spelled constructor every driver
+    /// uses: `Backend::device(DeviceSpec::kepler())`.
     pub fn device(spec: DeviceSpec) -> Backend {
         Backend::Device(spec)
     }
 
     /// The device spec this backend dispatches through, when it is the
-    /// device backend. Always `None` without the `device` feature, so
-    /// downstream report plumbing needs no feature gates.
+    /// device backend.
     pub fn device_spec(&self) -> Option<DeviceSpec> {
         match self {
-            #[cfg(feature = "device")]
             Backend::Device(spec) => Some(*spec),
             _ => None,
         }
@@ -145,7 +126,6 @@ impl Backend {
         match self {
             Backend::Serial => 1,
             Backend::Rayon => rayon::current_num_threads(),
-            #[cfg(feature = "device")]
             Backend::Device(_) => 1,
         }
     }
@@ -159,7 +139,6 @@ impl Backend {
         match self {
             Backend::Serial => (0..n).map(f).collect(),
             Backend::Rayon => (0..n).into_par_iter().map(f).collect(),
-            #[cfg(feature = "device")]
             Backend::Device(spec) => Queue::submit(
                 spec,
                 &GridProfile::uniform(n, UNPROFILED_ITEM_FLOPS),
@@ -213,13 +192,10 @@ impl Backend {
         U: Send,
         F: Fn(usize, usize) -> U + Sync + Send,
     {
-        #[cfg(not(feature = "device"))]
-        let _ = profile;
         if rows == 0 || cols == 0 {
             return Vec::new();
         }
         match self {
-            #[cfg(feature = "device")]
             Backend::Device(spec) => {
                 let n = rows * cols;
                 let default = GridProfile::uniform(n, UNPROFILED_ITEM_FLOPS);
@@ -270,7 +246,6 @@ impl Backend {
             // sees only the grids the items themselves submit — so no launch
             // is charged here (and the items' own submissions stay on this
             // thread, where the queue accounts them).
-            #[cfg(feature = "device")]
             Backend::Device(_) => {
                 items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect()
             }
@@ -297,7 +272,6 @@ impl Backend {
         match self {
             Backend::Serial => items.iter().map(f).collect(),
             Backend::Rayon => items.par_iter().map(f).collect(),
-            #[cfg(feature = "device")]
             Backend::Device(spec) => Queue::submit(
                 spec,
                 &GridProfile::uniform(items.len(), UNPROFILED_ITEM_FLOPS),
@@ -317,7 +291,6 @@ impl Backend {
         match self {
             Backend::Serial => (0..n).map(f).sum(),
             Backend::Rayon => (0..n).into_par_iter().map(f).sum(),
-            #[cfg(feature = "device")]
             Backend::Device(spec) => Queue::submit(
                 spec,
                 &GridProfile::uniform(n, UNPROFILED_ITEM_FLOPS),
@@ -337,7 +310,6 @@ impl Backend {
         match self {
             Backend::Serial => (0..n).map(f).fold(f64::NEG_INFINITY, f64::max),
             Backend::Rayon => (0..n).into_par_iter().map(f).reduce(|| f64::NEG_INFINITY, f64::max),
-            #[cfg(feature = "device")]
             Backend::Device(spec) => Queue::submit(
                 spec,
                 &GridProfile::uniform(n, UNPROFILED_ITEM_FLOPS),
@@ -432,13 +404,6 @@ mod tests {
         }
         assert_eq!("SERIAL".parse::<Backend>().unwrap(), Backend::Serial);
         assert!("cuda".parse::<Backend>().is_err());
-        // "device" parses only when the feature is compiled in, and the
-        // error without it points at the fix.
-        #[cfg(not(feature = "device"))]
-        {
-            let err = "device".parse::<Backend>().unwrap_err();
-            assert!(err.contains("--features device"), "unhelpful error: {err}");
-        }
     }
 
     #[test]
@@ -448,7 +413,6 @@ mod tests {
         assert!(!Backend::Rayon.is_device());
     }
 
-    #[cfg(feature = "device")]
     mod device {
         use super::*;
         use crate::device::{DeviceSpec, Queue};

@@ -27,10 +27,9 @@ pub mod executor;
 pub mod host;
 
 pub use amdahl::{amdahl_speedup, gustafson_speedup, multichain_time, parallel_burnin_time};
-#[cfg(feature = "device")]
-pub use device::Queue;
 pub use device::{
-    DeviceModel, DeviceReport, DeviceSpec, DeviceStats, GridProfile, KernelLaunch, DEVICE_INIT_US,
+    DeviceModel, DeviceReport, DeviceSpec, DeviceStats, GridProfile, KernelLaunch, Queue,
+    DEVICE_INIT_US,
 };
 pub use executor::Backend;
 pub use host::HostModel;

@@ -12,9 +12,7 @@
 use std::path::Path;
 
 use codec::Json;
-use exec::Backend;
-#[cfg(feature = "device")]
-use exec::DeviceSpec;
+use exec::{Backend, DeviceSpec};
 use phylo::io::phylip::parse_phylip;
 use phylo::likelihood::Kernel;
 use phylo::{Dataset, Locus};
@@ -94,16 +92,13 @@ pub fn print_usage() {
            --seed <n>           host RNG seed (default 20160401)\n\
            --strategy <name>    sampler strategy: gmh | baseline (default gmh)\n\
            --backend <name>     execution backend: serial | rayon | device (default rayon;\n\
-                                device requires a build with --features device and runs\n\
-                                the simulated accelerator queue, reporting a measured\n\
-                                host-vs-device cost breakdown)\n\
+                                device runs the simulated accelerator queue, reporting a\n\
+                                measured host-vs-device cost breakdown)\n\
            --device-spec <name> device preset for --backend device: kepler | modern\n\
                                 (default kepler)\n\
            --kernel <name>      likelihood combine kernel: scalar | simd | auto\n\
                                 (default auto: probe the CPU at startup and use the\n\
-                                AVX2+FMA combine loop when available; simd and auto\n\
-                                require a build with --features simd and fall back to\n\
-                                scalar otherwise)\n\
+                                AVX2+FMA combine loop when available)\n\
            --rate <locus>=<r>   relative mutation rate for one locus (repeatable; the\n\
                                 locus name is the PHYLIP file stem; r finite and > 0)\n\
            --chains <n>         shard each run across n chains (default 1: single chain)\n\
@@ -293,20 +288,10 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         if !cli.backend.is_device() {
             return Err("--device-spec only applies with --backend device".to_string());
         }
-        #[cfg(feature = "device")]
-        {
-            let spec = DeviceSpec::from_preset(&preset).ok_or_else(|| {
-                format!(
-                    "--device-spec: unknown preset {preset:?} (expected \"kepler\" or \
-                     \"modern\")"
-                )
-            })?;
-            cli.backend = Backend::device(spec);
-        }
-        // Without the feature the backend can never be the device backend,
-        // so the rejection above already returned.
-        #[cfg(not(feature = "device"))]
-        let _ = preset;
+        let spec = DeviceSpec::from_preset(&preset).ok_or_else(|| {
+            format!("--device-spec: unknown preset {preset:?} (expected \"kepler\" or \"modern\")")
+        })?;
+        cli.backend = Backend::device(spec);
     }
     // Ensemble flags only act when more than one chain runs — reject
     // combinations the run would otherwise silently ignore.
@@ -712,14 +697,8 @@ mod tests {
     fn device_spec_requires_the_device_backend() {
         let err = parse("a.phy 1.0 --device-spec kepler").unwrap_err();
         assert!(err.contains("--backend device"), "{err}");
-        #[cfg(not(feature = "device"))]
-        {
-            let err = parse("a.phy 1.0 --backend device").unwrap_err();
-            assert!(err.contains("--features device"), "{err}");
-        }
     }
 
-    #[cfg(feature = "device")]
     #[test]
     fn device_backend_and_presets_parse() {
         let cli = parse("a.phy 1.0 --backend device").unwrap();

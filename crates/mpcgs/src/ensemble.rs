@@ -29,8 +29,7 @@
 //!
 //! Because [`ShardedSampler`] *is* a [`GenealogySampler`], the whole ensemble
 //! slots into every existing driver: `Session::run` maximises θ over the
-//! pooled samples, `Session::run_chain` returns the pooled run report, and
-//! `run_multi_chain` is now a thin compatibility wrapper.
+//! pooled samples and `Session::run_chain` returns the pooled run report.
 //!
 //! See [`EnsembleBuilder`] for a runnable end-to-end quick start, and the
 //! "Ensemble layer" section of `docs/ARCHITECTURE.md` for the design
@@ -294,7 +293,7 @@ pub struct EnsembleReport {
     /// traces feed cross-chain diagnostics.
     pub cold_rungs: Vec<bool>,
     /// The measured host-vs-device cost breakdown, when the run dispatched
-    /// through `Backend::Device` (`device` feature; `None` otherwise).
+    /// through `Backend::Device` (`None` otherwise).
     pub device: Option<exec::DeviceReport>,
     /// The driving θ the ensemble ran with.
     pub driving_theta: f64,
@@ -695,7 +694,7 @@ impl ShardedSampler {
         self.swaps_accepted = snapshot.swaps_accepted;
         self.last_ensemble = None;
         if self.device_spec.is_some() {
-            self.device_baseline = crate::session::device_queue_stats();
+            self.device_baseline = exec::Queue::stats();
         }
         Ok(())
     }
@@ -788,7 +787,7 @@ impl GenealogySampler for ShardedSampler {
         self.swaps_accepted = 0;
         self.last_ensemble = None;
         if self.device_spec.is_some() {
-            self.device_baseline = crate::session::device_queue_stats();
+            self.device_baseline = exec::Queue::stats();
         }
         Ok(())
     }
@@ -850,10 +849,7 @@ impl GenealogySampler for ShardedSampler {
         counters.swap_attempts = self.swap_attempts;
         counters.swaps_accepted = self.swaps_accepted;
         let device = self.device_spec.map(|spec| {
-            exec::DeviceReport::new(
-                spec,
-                crate::session::device_queue_stats().delta(&self.device_baseline),
-            )
+            exec::DeviceReport::new(spec, exec::Queue::stats().delta(&self.device_baseline))
         });
         let report = EnsembleReport {
             chains,

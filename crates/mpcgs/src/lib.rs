@@ -64,7 +64,6 @@ pub mod checkpoint;
 pub mod cli;
 pub mod config;
 pub mod ensemble;
-pub mod multi_chain;
 pub mod observers;
 pub mod perf;
 pub mod sampler;
@@ -77,7 +76,6 @@ pub use ensemble::{
     is_cold_rung, Ensemble, EnsembleBuilder, EnsembleReport, EnsembleSnapshot, EnsembleSpec,
     ExchangePolicy, ShardedSampler,
 };
-pub use multi_chain::{run_multi_chain, MultiChainConfig, MultiChainRun};
 pub use observers::{ChainSummaryPrinter, EmProgressPrinter};
 pub use perf::{CachingReport, SpeedupModel, Workload};
 pub use sampler::MultiProposalSampler;

@@ -44,15 +44,6 @@ fn run(cli: CliArgs) -> Result<(), String> {
         }
     }
 
-    let effective_kernel = cli.kernel.effective();
-    if effective_kernel != cli.kernel {
-        eprintln!(
-            "note: --kernel {} requested but this binary was built without the `simd` \
-             feature; falling back to the {} kernel \
-             (rebuild with `--features simd` to enable it)",
-            cli.kernel, effective_kernel
-        );
-    }
     let variant = cli.kernel.variant();
     if cli.kernel == phylo::likelihood::Kernel::Auto {
         let features = phylo::likelihood::host_cpu_features();

@@ -66,12 +66,11 @@ pub struct CachingReport {
     /// recomputed (0.0 when the run consulted no matrices).
     pub matrix_cache_hit_rate: f64,
     /// The combine-kernel variant that actually ran the node recomputations
-    /// (the [`Kernel::variant`] resolution: a SIMD request in a build
-    /// without the `simd` feature is recorded as scalar, and `auto` records
-    /// the runtime-probed variant).
+    /// (the [`Kernel::variant`] resolution: `auto` records the
+    /// runtime-probed variant).
     pub kernel: KernelVariant,
     /// The measured host-vs-device cost breakdown, when the run dispatched
-    /// through `Backend::Device` (`device` feature). Attached with
+    /// through `Backend::Device`. Attached with
     /// [`CachingReport::with_device`]; `None` otherwise.
     pub device: Option<exec::DeviceReport>,
 }

@@ -52,7 +52,7 @@
 //!     .strategy(SamplerStrategy::MultiProposal)
 //!     .config(config)
 //!     .backend(Backend::Serial)
-//!     .kernel(Kernel::Simd) // falls back to scalar without `--features simd`
+//!     .kernel(Kernel::Simd)
 //!     .build()
 //!     .unwrap();
 //!
@@ -146,20 +146,6 @@ impl EmIterationReport {
     }
 }
 
-/// This thread's cumulative device-queue accounting: the real queue snapshot
-/// when the `device` feature is compiled in, an empty (always-zero) snapshot
-/// otherwise — so report plumbing needs no feature gates at its call sites.
-pub(crate) fn device_queue_stats() -> exec::DeviceStats {
-    #[cfg(feature = "device")]
-    {
-        exec::Queue::stats()
-    }
-    #[cfg(not(feature = "device"))]
-    {
-        exec::DeviceStats::default()
-    }
-}
-
 /// The outcome of a full session run (the EM loop of Figure 11).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
@@ -168,8 +154,7 @@ pub struct SessionReport {
     /// Per-iteration records.
     pub iterations: Vec<EmIterationReport>,
     /// The measured host-vs-device cost breakdown of the whole run, when the
-    /// session backend was `Backend::Device` (`device` feature; `None`
-    /// otherwise).
+    /// session backend was `Backend::Device` (`None` otherwise).
     pub device: Option<exec::DeviceReport>,
 }
 
@@ -502,7 +487,7 @@ impl Session {
         let mut iterations = Vec::with_capacity(self.config.em_iterations);
         let mut current_tree = Some(self.starting_tree()?);
         let device_spec = self.config.backend.device_spec();
-        let device_baseline = device_spec.map(|_| device_queue_stats());
+        let device_baseline = device_spec.map(|_| exec::Queue::stats());
 
         // An ensemble session builds its sharded sampler once and retunes it
         // between rounds, so the per-chain host RNG streams keep advancing
@@ -555,7 +540,7 @@ impl Session {
         }
 
         let device = device_spec.zip(device_baseline).map(|(spec, baseline)| {
-            exec::DeviceReport::new(spec, device_queue_stats().delta(&baseline))
+            exec::DeviceReport::new(spec, exec::Queue::stats().delta(&baseline))
         });
         Ok(SessionReport { theta, iterations, device })
     }
@@ -691,7 +676,7 @@ impl SessionRunner {
     fn start(session: Session, seed: u32) -> Result<SessionRunner, PhyloError> {
         let theta = session.config.initial_theta;
         let device_spec = session.config.backend.device_spec();
-        let device_baseline = device_spec.map(|_| device_queue_stats());
+        let device_baseline = device_spec.map(|_| exec::Queue::stats());
         let initial = session.starting_tree()?;
         let mode = match &session.ensemble {
             Some(spec) => RunnerMode::Ensemble {
@@ -730,7 +715,7 @@ impl SessionRunner {
             });
         }
         let device_spec = session.config.backend.device_spec();
-        let device_baseline = device_spec.map(|_| device_queue_stats());
+        let device_baseline = device_spec.map(|_| exec::Queue::stats());
         let mode = match &checkpoint.state {
             CheckpointState::SingleChain(snapshot) => {
                 if let Some(spec) = &session.ensemble {
@@ -928,7 +913,7 @@ impl SessionRunner {
 
         if self.em_round >= self.session.config.em_iterations {
             let device = self.device_spec.zip(self.device_baseline).map(|(spec, baseline)| {
-                exec::DeviceReport::new(spec, device_queue_stats().delta(&baseline))
+                exec::DeviceReport::new(spec, exec::Queue::stats().delta(&baseline))
             });
             self.finished = Some(SessionReport {
                 theta: self.theta,

@@ -49,9 +49,9 @@
 //!   runtime-dispatched `auto`), and per-edge transition matrices are
 //!   memoised in an [`likelihood::EdgeMatrixCache`] keyed on effective
 //!   branch length.
-//! * `simd` (behind the `simd` cargo feature) — the hand-rolled `F64x4`
-//!   four-lane vector backing [`likelihood::Kernel::Simd`], plus the
-//!   runtime AVX2+FMA dispatch behind [`likelihood::Kernel::Auto`].
+//! * [`simd`] — the hand-rolled `F64x4` four-lane vector backing
+//!   [`likelihood::Kernel::Simd`], plus the runtime AVX2+FMA dispatch behind
+//!   [`likelihood::Kernel::Auto`].
 //!
 //! `unsafe` is denied crate-wide; the single, safety-documented exception is
 //! the `simd::dispatch` module, which must call a `#[target_feature]`
@@ -70,7 +70,6 @@ pub mod model;
 pub mod nucleotide;
 pub mod patterns;
 pub mod sequence;
-#[cfg(feature = "simd")]
 pub mod simd;
 pub mod tables;
 pub mod tree;

@@ -32,10 +32,9 @@
 //! The innermost arithmetic of both paths — combining two children's
 //! partial rows through their branch transition matrices — sits behind the
 //! [`Kernel`] seam: [`Kernel::Scalar`] is the portable reference loop and
-//! [`Kernel::Simd`] (the `simd` cargo feature) an explicit four-lane
-//! `f64x4` kernel, selected per engine with
-//! [`FelsensteinPruner::with_kernel`] and agreeing with the scalar kernel to
-//! ≤1e-12 relative tolerance.
+//! [`Kernel::Simd`] an explicit four-lane `f64x4` kernel, selected per
+//! engine with [`FelsensteinPruner::with_kernel`] and agreeing with the
+//! scalar kernel to ≤1e-12 relative tolerance.
 //!
 //! Multi-locus datasets are scored by a [`MultiLocusEngine`]: one cached
 //! workspace per locus, every batch flattened over the (locus × proposal)
@@ -228,18 +227,14 @@ pub enum ExecutionMode {
 /// and surfaced to users as `SessionBuilder::kernel(..)` and the CLI's
 /// `--kernel {scalar,simd,auto}` flag.
 ///
-/// Every request is always *selectable*: when the crate was built without
-/// the `simd` cargo feature, [`Kernel::Simd`] and [`Kernel::Auto`] degrade
-/// to the scalar kernel at runtime ([`Kernel::effective`]), so configuration
-/// written against a SIMD-enabled build keeps working — just slower —
-/// everywhere else. [`Kernel::Auto`] (the default) additionally probes the
-/// CPU at startup and, on an AVX2+FMA host, routes the combine loop through
-/// a variant compiled specifically for those features — recovering the
-/// throughput a `RUSTFLAGS="-C target-feature=+avx2,+fma"` build gets
-/// statically (see [`Kernel::variant`]). All kernels implement identical
-/// per-pattern rescaling; they agree to ≤1e-12 relative tolerance (the
-/// difference is floating-point reassociation and FMA contraction in the
-/// two 4×4 matrix–vector products).
+/// [`Kernel::Auto`] (the default) probes the CPU at startup and, on an
+/// AVX2+FMA host, routes the combine loop through a variant compiled
+/// specifically for those features — recovering the throughput a
+/// `RUSTFLAGS="-C target-feature=+avx2,+fma"` build gets statically (see
+/// [`Kernel::variant`]). All kernels implement identical per-pattern
+/// rescaling; they agree to ≤1e-12 relative tolerance (the difference is
+/// floating-point reassociation and FMA contraction in the two 4×4
+/// matrix–vector products).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// The portable node-outer/pattern-inner loop, autovectorised by the
@@ -247,13 +242,11 @@ pub enum Kernel {
     Scalar,
     /// The explicit four-lane kernel over `phylo::simd::F64x4`: broadcast
     /// multiply–adds over column-major transition matrices, compiled at the
-    /// crate's baseline feature level. Requires the `simd` cargo feature;
-    /// falls back to [`Kernel::Scalar`] otherwise.
+    /// crate's baseline feature level.
     Simd,
-    /// Probe the CPU at runtime and pick the fastest compiled-in kernel:
-    /// the AVX2+FMA-multiversioned four-lane kernel when the host supports
-    /// it, the baseline four-lane kernel otherwise, and the scalar kernel
-    /// when the `simd` feature is absent.
+    /// Probe the CPU at runtime and pick the fastest kernel: the
+    /// AVX2+FMA-multiversioned four-lane kernel when the host supports it,
+    /// the baseline four-lane kernel otherwise.
     #[default]
     Auto,
 }
@@ -288,8 +281,6 @@ impl KernelVariant {
     /// Run this variant's combine loop. Same contract as
     /// [`Kernel::combine_rows`], but with the dispatch already resolved —
     /// engines resolve once at construction and call this in the hot loop.
-    /// In a build without the `simd` feature the SIMD variants (which
-    /// [`Kernel::variant`] never produces there) degrade to the scalar loop.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn combine_rows(
@@ -316,7 +307,6 @@ impl KernelVariant {
                 out_partials,
                 out_scales,
             ),
-            #[cfg(feature = "simd")]
             KernelVariant::Simd => crate::simd::combine_rows_f64x4::<false>(
                 scale_threshold,
                 ma,
@@ -328,20 +318,7 @@ impl KernelVariant {
                 out_partials,
                 out_scales,
             ),
-            #[cfg(feature = "simd")]
             KernelVariant::SimdFma => crate::simd::dispatch::combine_rows_avx2_fma(
-                scale_threshold,
-                ma,
-                mb,
-                pa,
-                pb,
-                sa,
-                sb,
-                out_partials,
-                out_scales,
-            ),
-            #[cfg(not(feature = "simd"))]
-            KernelVariant::Simd | KernelVariant::SimdFma => combine_children_rows_scalar(
                 scale_threshold,
                 ma,
                 mb,
@@ -357,35 +334,15 @@ impl KernelVariant {
 }
 
 impl Kernel {
-    /// Whether the explicit SIMD kernel was compiled into this binary (the
-    /// `simd` cargo feature).
-    pub fn simd_compiled() -> bool {
-        cfg!(feature = "simd")
-    }
-
-    /// The kernel that will actually run: [`Kernel::Simd`] and
-    /// [`Kernel::Auto`] degrade to [`Kernel::Scalar`] when the `simd`
-    /// feature is not compiled in. See [`Kernel::variant`] for the further
-    /// runtime resolution of [`Kernel::Auto`].
-    pub fn effective(self) -> Kernel {
-        if Kernel::simd_compiled() {
-            self
-        } else {
-            Kernel::Scalar
-        }
-    }
-
     /// Resolve this request to the concrete combine-loop implementation for
     /// this binary and this CPU. [`Kernel::Auto`] probes
     /// `is_x86_feature_detected!("avx2")`/`("fma")` (cached by `std`, so the
     /// resolution is cheap enough to repeat) and selects the
     /// AVX2+FMA-multiversioned loop when both are present.
     pub fn variant(self) -> KernelVariant {
-        match self.effective() {
+        match self {
             Kernel::Scalar => KernelVariant::Scalar,
-            #[cfg(feature = "simd")]
             Kernel::Simd => KernelVariant::Simd,
-            #[cfg(feature = "simd")]
             Kernel::Auto => {
                 if crate::simd::dispatch::avx2_fma_supported() {
                     KernelVariant::SimdFma
@@ -393,8 +350,6 @@ impl Kernel {
                     KernelVariant::Simd
                 }
             }
-            #[cfg(not(feature = "simd"))]
-            _ => KernelVariant::Scalar,
         }
     }
 
@@ -411,9 +366,8 @@ impl Kernel {
     /// out `[pattern × 4]` with one scale per pattern: for `n` patterns
     /// (`n = out_scales.len()`), `pa`/`pb`/`out_partials` must hold at least
     /// `4 n` elements and `sa`/`sb` at least `n`. The kernel resolves
-    /// [`Kernel::variant`] itself, so calling [`Kernel::Simd`] without the
-    /// `simd` feature runs the scalar loop and [`Kernel::Auto`] runs the
-    /// fastest loop this host supports.
+    /// [`Kernel::variant`] itself, so [`Kernel::Auto`] runs the fastest loop
+    /// this host supports.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn combine_rows(
@@ -472,8 +426,8 @@ impl FromStr for Kernel {
 /// The SIMD-relevant CPU features detected on this host at runtime, for perf
 /// reports and the CLI's startup banner. Empty off x86/x86-64. The probe is
 /// the safe `is_x86_feature_detected!` macro, independent of what the binary
-/// was *compiled* for — compare with [`Kernel::simd_compiled`] and
-/// `cfg!(target_feature = ...)` to see the compile-time side.
+/// was *compiled* for — compare with `cfg!(target_feature = ...)` to see the
+/// compile-time side.
 pub fn host_cpu_features() -> Vec<&'static str> {
     let mut features = Vec::new();
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -896,10 +850,9 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
         self.mode
     }
 
-    /// Select the combine kernel ([`Kernel::Simd`] requires the `simd` cargo
-    /// feature and degrades to the scalar kernel without it;
-    /// [`Kernel::Auto`], the default, additionally probes the CPU). The
-    /// request is resolved to its concrete [`KernelVariant`] here, once.
+    /// Select the combine kernel ([`Kernel::Auto`], the default, probes the
+    /// CPU). The request is resolved to its concrete [`KernelVariant`] here,
+    /// once.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self.variant = kernel.variant();
@@ -2531,7 +2484,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_round_trip_and_effective_fallback() {
+    fn kernel_names_round_trip_and_requests_resolve() {
         for kernel in [Kernel::Scalar, Kernel::Simd, Kernel::Auto] {
             assert_eq!(kernel.to_string().parse::<Kernel>().unwrap(), kernel);
         }
@@ -2540,30 +2493,16 @@ mod tests {
         assert!("avx512".parse::<Kernel>().is_err());
         assert_eq!(Kernel::default(), Kernel::Auto);
         assert_eq!(Kernel::Scalar.variant(), KernelVariant::Scalar);
-        if Kernel::simd_compiled() {
-            assert_eq!(Kernel::Scalar.effective(), Kernel::Scalar);
-            assert_eq!(Kernel::Simd.effective(), Kernel::Simd);
-            assert_eq!(Kernel::Auto.effective(), Kernel::Auto);
-            assert_eq!(Kernel::Simd.variant(), KernelVariant::Simd);
-            // Auto resolves by CPU probe: either four-lane variant is legal,
-            // scalar is not (the feature is compiled in).
-            assert_ne!(Kernel::Auto.variant(), KernelVariant::Scalar);
-        } else {
-            // Runtime fallback: every request degrades to the scalar kernel.
-            for kernel in [Kernel::Scalar, Kernel::Simd, Kernel::Auto] {
-                assert_eq!(kernel.effective(), Kernel::Scalar);
-                assert_eq!(kernel.variant(), KernelVariant::Scalar);
-            }
-        }
-        assert_eq!(Kernel::simd_compiled(), cfg!(feature = "simd"));
+        assert_eq!(Kernel::Simd.variant(), KernelVariant::Simd);
+        // Auto resolves by CPU probe: either four-lane variant is legal,
+        // scalar is not.
+        assert_ne!(Kernel::Auto.variant(), KernelVariant::Scalar);
         assert_eq!(KernelVariant::SimdFma.to_string(), "simd+avx2+fma");
     }
 
     #[test]
     fn simd_kernel_matches_scalar_kernel_on_random_trees() {
-        // Without the `simd` feature this degenerates to scalar-vs-scalar
-        // (the runtime fallback), which must hold trivially; with the feature
-        // it is the 1e-12 bit-tolerance contract of the explicit kernel.
+        // The 1e-12 relative-tolerance contract of the explicit kernel.
         for seed in 1..=8u64 {
             let n_tips = 4 + (seed as usize % 9);
             let (alignment, tree) = random_fixture(seed, n_tips, 257);

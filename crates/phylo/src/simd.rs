@@ -1,5 +1,5 @@
 //! A hand-rolled four-lane `f64` vector for the explicit-SIMD likelihood
-//! kernel (enabled by the `simd` cargo feature).
+//! kernel.
 //!
 //! The build environment is offline and the workspace compiles on stable
 //! Rust, so neither `std::simd` (nightly) nor an external SIMD crate is

@@ -67,12 +67,16 @@ impl CoalescentIntervals {
         let mut prev_time = events.first().map(|e| e.0).unwrap_or(0.0);
         for (time, event) in events {
             let length = time - prev_time;
-            if length > 0.0 && lineages > 0 {
+            let ends_in_coalescence = event == Event::Coalescence;
+            // A zero-length interval is kept when it ends in a coalescence
+            // (tied node times), so every coalescence owns an interval and
+            // `from_intervals` recounts the same `n_coalescences`.
+            if lineages > 0 && (length > 0.0 || ends_in_coalescence) {
                 intervals.push(Interval {
                     start: prev_time,
                     length,
                     lineages,
-                    ends_in_coalescence: matches!(event, Event::Coalescence),
+                    ends_in_coalescence,
                 });
             }
             match event {
@@ -88,7 +92,9 @@ impl CoalescentIntervals {
     }
 
     /// Build directly from raw interval data (used by the samplers when they
-    /// reduce genealogies to interval summaries).
+    /// reduce genealogies to interval summaries). Round-trips
+    /// [`CoalescentIntervals::from_tree`]: every coalescence there ends an
+    /// interval, zero-length ones included.
     pub fn from_intervals(intervals: Vec<Interval>) -> Self {
         let n_coalescences = intervals.iter().filter(|i| i.ends_in_coalescence).count();
         CoalescentIntervals { intervals, n_coalescences }
@@ -204,7 +210,8 @@ mod tests {
     #[test]
     fn simultaneous_coalescences_are_handled() {
         // Two cherries at exactly the same time then a root: the zero-length
-        // interval between the simultaneous events is skipped.
+        // interval between the simultaneous events is kept, because it ends
+        // in a coalescence.
         let mut b = TreeBuilder::new();
         let t0 = b.add_tip("t0", 0.0);
         let t1 = b.add_tip("t1", 0.0);
@@ -215,7 +222,9 @@ mod tests {
         b.join(a, c, 2.0);
         let iv = b.build().unwrap().intervals();
         let ks: Vec<usize> = iv.intervals().iter().map(|i| i.lineages).collect();
-        assert_eq!(ks, vec![4, 2]);
+        assert_eq!(ks, vec![4, 3, 2]);
+        assert_eq!(iv.intervals()[1].length, 0.0);
         assert_eq!(iv.n_coalescences(), 3);
+        assert_eq!(CoalescentIntervals::from_intervals(iv.intervals().to_vec()), iv);
     }
 }

@@ -60,13 +60,9 @@ fn main() {
         .expect("valid simulator")
         .simulate(&mut rng, &tree)
         .expect("sequence simulation succeeds");
-    // With `--features device` the measured chain runs on the simulated
-    // accelerator backend (bit-identical results) and the caching report
-    // additionally carries the queue's host-vs-device cost breakdown.
-    #[cfg(feature = "device")]
-    let backend = exec::Backend::device(exec::DeviceSpec::kepler());
-    #[cfg(not(feature = "device"))]
-    let backend = exec::Backend::default();
+    // The measured chain runs on the simulated accelerator backend
+    // (bit-identical results) and the caching report additionally carries
+    // the queue's host-vs-device cost breakdown.
     let config = MpcgsConfig {
         initial_theta: 1.0,
         em_iterations: 1,
@@ -74,8 +70,8 @@ fn main() {
         draws_per_iteration: reference.proposals_per_iteration,
         burn_in_draws: 200,
         sample_draws: 2_000,
-        kernel: Kernel::Simd, // falls back to scalar without --features simd
-        backend,
+        kernel: Kernel::Simd,
+        backend: exec::Backend::device(exec::DeviceSpec::kepler()),
         ..MpcgsConfig::default()
     };
     let mut session = Session::builder()
@@ -83,7 +79,6 @@ fn main() {
         .config(config)
         .build()
         .expect("valid configuration");
-    #[cfg(feature = "device")]
     let device_baseline = exec::Queue::stats();
     let report = session.run_chain(&mut rng).expect("chain run succeeds");
     let caching = CachingReport::from_stats(
@@ -91,7 +86,6 @@ fn main() {
         reference.interior_nodes(),
         session.config().kernel,
     );
-    #[cfg(feature = "device")]
     let caching = caching.with_device(exec::DeviceReport::new(
         exec::DeviceSpec::kepler(),
         exec::Queue::stats().delta(&device_baseline),

@@ -16,6 +16,8 @@
 //!   per-chain `RunReport`s via a second interrupted ensemble run;
 //! * double interruption (kill → resume → kill → resume) to prove
 //!   checkpoints compose;
+//! * genealogies with tied node times (identical sequences), whose
+//!   zero-length intervals must survive the document;
 //! * the serialized document itself (parse → re-encode → parse fixpoint).
 
 #[path = "harness/mod.rs"]
@@ -26,7 +28,7 @@ use exec::Backend;
 use harness::CaseDriver;
 use mcmc::rng::Mt19937;
 use phylo::model::Jc69;
-use phylo::{Alignment, Dataset};
+use phylo::{Alignment, Dataset, Sequence};
 use rand::RngCore;
 
 use mpcgs::{
@@ -160,6 +162,31 @@ fn baseline_survives_randomized_kills() {
     let dataset = simulated_dataset(503, 6, 60);
     // The baseline steps one MH transition per increment: 2 × 360.
     run_randomized_kills("baseline-kill", 2, 3, 700, &dataset, SamplerStrategy::Baseline, None, 11);
+}
+
+#[test]
+fn tied_node_times_survive_resume() {
+    // UPGMA joins two identical sequences at time 0, tied with the tips, and
+    // every retained draw that keeps that cherry carries the tie. The
+    // checkpoint must carry each such coalescence, or the resumed rounds
+    // maximise Eq. 26 over different samples.
+    let mut rng = Mt19937::new(509);
+    let tree = CoalescentSimulator::constant(1.0).unwrap().simulate(&mut rng, 6).unwrap();
+    let alignment: Alignment =
+        SequenceSimulator::new(Jc69::new(), 60, 1.0).unwrap().simulate(&mut rng, &tree).unwrap();
+    let mut sequences = alignment.sequences().to_vec();
+    sequences[1] = Sequence::new(sequences[1].name(), sequences[0].bases().to_vec());
+    let dataset = Dataset::single(Alignment::new(sequences).unwrap());
+    for strategy in [SamplerStrategy::MultiProposal, SamplerStrategy::Baseline] {
+        // Mid-round 1 and mid-round 2 of both strategies' increment ranges.
+        let kill_points = match strategy {
+            SamplerStrategy::MultiProposal => [10, 27],
+            SamplerStrategy::Baseline => [200, 560],
+        };
+        for kill_at in kill_points {
+            check_kill_resume_identical(&dataset, strategy, None, 17, kill_at).unwrap();
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Integration tests of the simulated accelerator backend
-//! (`Backend::Device`, `--features device`).
+//! (`Backend::Device`).
 //!
 //! The load-bearing contract: the device backend changes *where and in what
 //! order batches are accounted*, never the arithmetic — so every likelihood,
@@ -7,8 +7,6 @@
 //! identical** to `Backend::Serial`, while the run additionally carries a
 //! `DeviceReport` cost breakdown whose accounting reproduces the paper's
 //! qualitative speedup shapes.
-
-#![cfg(feature = "device")]
 
 use coalescent::{CoalescentSimulator, SequenceSimulator};
 use exec::{Backend, DeviceReport, DeviceSpec, Queue};
