@@ -3,13 +3,13 @@
 //! The sampler's strongest guarantees — bit-identical checkpoint/resume,
 //! deterministic MC³ ensembles, the differential op-tape oracle — rest on
 //! conventions the compiler cannot check: no unordered-map iteration in
-//! sampler/codec paths, `unsafe` only inside `phylo::simd::dispatch`, raw
-//! threads only under the `Backend` seam, no wall-clock reads in sampler
-//! state, no bare float equality, RNG streams only via `StreamBank`. This
-//! crate makes those conventions machine-checked: a small lossless Rust
-//! lexer ([`lexer`]), per-file context extraction ([`context`]), and a rule
-//! registry ([`rules`]) producing pointed `file:line:col` diagnostics
-//! ([`diag::Diagnostic`]).
+//! sampler/codec paths, `unsafe` only inside `phylo::simd::dispatch` and the
+//! rayon shim's `pool`, raw threads only under the `Backend` seam, no
+//! wall-clock reads in sampler state, no bare float equality, RNG streams
+//! only via `StreamBank`. This crate makes those conventions
+//! machine-checked: a small lossless Rust lexer ([`lexer`]), per-file context
+//! extraction ([`context`]), and a rule registry ([`rules`]) producing
+//! pointed `file:line:col` diagnostics ([`diag::Diagnostic`]).
 //!
 //! Violations that are correct by construction carry an inline pragma with
 //! a mandatory written reason:

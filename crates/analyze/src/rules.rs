@@ -47,9 +47,12 @@ const DETERMINISM_PATHS: &[&str] = &[
     "crates/exec/src",
 ];
 
-/// The only module allowed to contain `unsafe` / `#[allow(unsafe_code)]`:
-/// the runtime CPU-feature dispatch for the SIMD combine kernel.
-const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[("crates/phylo/src/simd.rs", "dispatch")];
+/// The only modules allowed to contain `unsafe` / `#[allow(unsafe_code)]`:
+/// the runtime CPU-feature dispatch for the SIMD combine kernel, and the
+/// rayon shim's worker pool, which hands a borrowed chunk body to its
+/// long-lived workers.
+const UNSAFE_ALLOWLIST: &[(&str, &str)] =
+    &[("crates/phylo/src/simd.rs", "dispatch"), ("crates/shims/rayon/src/lib.rs", "pool")];
 
 /// Where `std::thread::{spawn, scope}` is legitimate: the `Backend` seam
 /// itself, and the rayon shim it delegates to.
@@ -80,13 +83,17 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "d2",
-        title: "unsafe code only inside phylo::simd::dispatch; every crate root denies it",
+        title: "unsafe code only inside phylo::simd::dispatch and rayon::pool; every crate \
+                root denies it",
         explain: "Every crate root must carry #![deny(unsafe_code)] (or forbid), and the \
-                  only module allowed to opt back in with #[allow(unsafe_code)] is \
+                  only modules allowed to opt back in with #[allow(unsafe_code)] are \
                   phylo::simd::dispatch — the runtime CPU-feature dispatch whose soundness \
                   obligation (calling a #[target_feature] function after a CPUID probe) is \
-                  documented in place. Unsafe code anywhere else widens the audit surface \
-                  for memory-safety bugs that the determinism harnesses cannot catch.\n\n\
+                  documented in place — and the rayon shim's pool, whose one unsafe \
+                  erases a chunk body's lifetime for the persistent workers (sound because \
+                  a dispatch returns only after every chunk has finished). Unsafe code \
+                  anywhere else widens the audit surface for memory-safety bugs that the \
+                  determinism harnesses cannot catch.\n\n\
                   See docs/ARCHITECTURE.md, 'Static analysis & invariants'.",
     },
     RuleInfo {
@@ -283,7 +290,7 @@ fn check_d1(path: &str, source: &str, ctx: &FileContext, out: &mut Vec<RawDiag>)
 }
 
 /// D2: crate roots deny unsafe; unsafe tokens only inside the allowlisted
-/// dispatch module.
+/// modules.
 fn check_d2(path: &str, source: &str, ctx: &FileContext, out: &mut Vec<RawDiag>) {
     if is_crate_root(path) && !has_unsafe_deny_attr(source, ctx) {
         out.push(RawDiag {
@@ -311,8 +318,8 @@ fn check_d2(path: &str, source: &str, ctx: &FileContext, out: &mut Vec<RawDiag>)
                 out,
                 "d2",
                 tok,
-                "`unsafe` outside the sanctioned boundary: `phylo::simd::dispatch` is the \
-                 only module allowed to hold unsafe code"
+                "`unsafe` outside the sanctioned boundaries: `phylo::simd::dispatch` and \
+                 `rayon::pool` are the only modules allowed to hold unsafe code"
                     .to_string(),
             ),
             "unsafe_code" if !in_allowed(tok.start) => {
@@ -329,7 +336,7 @@ fn check_d2(path: &str, source: &str, ctx: &FileContext, out: &mut Vec<RawDiag>)
                         "d2",
                         tok,
                         "`#[allow(unsafe_code)]` outside the sanctioned \
-                         `phylo::simd::dispatch` boundary"
+                         `phylo::simd::dispatch` and `rayon::pool` boundaries"
                             .to_string(),
                     );
                 }
@@ -566,6 +573,21 @@ mod tests {
         // The same contents in any other file: both unsafes and the allow fire.
         let diags = run("crates/mcmc/src/chain.rs", src);
         assert_eq!(diags.iter().filter(|d| d.rule == "d2").count(), 3);
+    }
+
+    #[test]
+    fn d2_admits_only_the_pool_module_of_the_rayon_shim() {
+        const SHIM: &str = "crates/shims/rayon/src/lib.rs";
+        let pool = "#[allow(unsafe_code)]\nmod pool { fn f() { unsafe { g(); } } }\n";
+        assert!(rules_fired(SHIM, &format!("#![deny(unsafe_code)]\n{pool}")).is_empty());
+        // The shim root still needs the deny attribute.
+        assert_eq!(rules_fired(SHIM, pool), ["d2"]);
+        // Any other module of the shim, or the root itself, still fires.
+        let other = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\nmod iter { fn f() { unsafe { g(); } } }\nfn h() { unsafe { i(); } }\n";
+        assert_eq!(rules_fired(SHIM, other), ["d2", "d2", "d2"]);
+        // A `pool` module anywhere else is not the sanctioned one.
+        let diags = run("crates/shims/rand/src/lib.rs", &format!("#![deny(unsafe_code)]\n{pool}"));
+        assert_eq!(diags.iter().filter(|d| d.rule == "d2").count(), 2);
     }
 
     #[test]

@@ -6,6 +6,17 @@
 //! thread pool. This mirrors the structure of the CUDA implementation, where
 //! the same loops are expressed as kernels with one thread per item.
 //!
+//! [`Backend::Rayon`] dispatches onto one persistent, process-wide pool (the
+//! rayon shim's: `threads() − 1` workers started on first use, plus the
+//! calling thread). A dispatch costs a job handoff, not a thread spawn, so
+//! the two small grids of every GMH iteration are cheap; a dispatch made
+//! while the pool is busy (a nested map, or another session dispatching at
+//! the same moment) runs inline on its caller. Either way results are
+//! gathered in index order and match [`Backend::Serial`] bit for bit.
+//! [`Backend::map_mut`] is the exception: it runs one scoped thread per
+//! item, because its items (serve slots, ensemble chains) must make
+//! progress concurrently.
+//!
 //! Backends are selected by value (or parsed from CLI-style names) and
 //! passed down to whatever owns the loop — the seam a device backend plugs
 //! into later:
@@ -43,7 +54,7 @@ const UNPROFILED_ITEM_FLOPS: f64 = 1_000.0;
 pub enum Backend {
     /// Run everything on the calling thread.
     Serial,
-    /// Run on the global rayon thread pool.
+    /// Run on the rayon shim's persistent thread pool.
     #[default]
     Rayon,
     /// Route every dispatch through the simulated accelerator command queue

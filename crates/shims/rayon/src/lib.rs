@@ -3,31 +3,42 @@
 //! The build environment has no network access, so the real `rayon` package
 //! cannot be fetched. This shim provides the subset of the parallel-iterator
 //! API the workspace uses — `into_par_iter()` over `Range<usize>`,
-//! `par_iter()` over slices, and the `map` / `collect` / `sum` / `reduce`
-//! adaptors — with **real data parallelism**: work is split into contiguous
-//! chunks and executed on scoped OS threads (`std::thread::scope`), one chunk
-//! per available core. Results are always assembled in index order, so the
-//! parallel path is deterministic and bit-identical to the serial path for
-//! order-sensitive reductions assembled chunk-by-chunk.
+//! `par_iter()` over slices, the `map` / `collect` / `sum` / `reduce` /
+//! `for_each` adaptors and [`join`] — with **real data parallelism**.
 //!
-//! Unlike real rayon there is no work-stealing pool: each call spawns its
-//! scoped threads and joins them before returning. For the coarse-grained
-//! work the samplers offload (whole proposals, pattern chunks) the spawn cost
-//! is noise; for very fine-grained items callers should batch, exactly as
-//! they would to amortise rayon's per-item overhead.
+//! Every parallel call runs on one process-wide pool: `current_num_threads()
+//! − 1` worker threads, started by the first call that can use them and kept
+//! for the life of the process, plus the calling thread, which always works
+//! too. A call splits its items into one contiguous chunk per thread;
+//! workers and the caller claim chunks from a shared counter, every chunk
+//! writes its own slot, and the slots are assembled in index order, so the
+//! parallel path is deterministic and bit-identical to the serial path for
+//! order-sensitive reductions. A call smaller than a worker's wake-up simply
+//! finishes on the caller before any worker arrives.
+//!
+//! Unlike real rayon there is no work stealing: the pool runs one call at a
+//! time, and a call made while it is busy — a nested `par_iter` inside a
+//! `map`, or another thread dispatching at the same moment — runs inline on
+//! its own thread. A panic in any item is re-raised on the caller once every
+//! chunk has finished, and the pool stays usable.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The number of worker threads parallel operations will use (the number of
-/// available hardware threads).
+/// available hardware threads). Read once per process: on Linux the query
+/// reads cgroup files, which costs more than a small dispatch.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Run two closures, potentially in parallel, returning both results.
+/// Run two closures, potentially in parallel, returning both results: `a`
+/// runs on the calling thread while `b` waits on the pool for a free worker
+/// (or for the caller, once `a` is done).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -35,11 +46,26 @@ where
     RA: Send,
     RB: Send,
 {
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim join worker panicked"))
-    })
+    let b = Mutex::new(Some(b));
+    let rb = Mutex::new(None);
+    let ra = pool::run(
+        1,
+        &|_| {
+            if let Some(b) = lock(&b).take() {
+                let value = b();
+                *lock(&rb) = Some(value);
+            }
+        },
+        a,
+    );
+    let rb = rb.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (ra, rb.expect("the pool runs every chunk before it returns"))
+}
+
+/// Lock `mutex`, ignoring poison: no holder in this crate can panic while it
+/// holds a guard, and every update leaves the data valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The common imports, mirroring `rayon::prelude`.
@@ -102,8 +128,8 @@ pub trait ParallelIterator: Sized + Sync {
     }
 }
 
-/// Evaluate every index of `source`, chunked across scoped OS threads, and
-/// return the items in index order.
+/// Evaluate every index of `source` on the pool, one contiguous chunk per
+/// thread, and return the items in index order.
 fn run_in_chunks<T: ParallelIterator>(source: &T) -> Vec<T::Item> {
     let n = source.par_len();
     let threads = current_num_threads().min(n);
@@ -111,20 +137,241 @@ fn run_in_chunks<T: ParallelIterator>(source: &T) -> Vec<T::Item> {
         return (0..n).map(|i| source.par_get(i)).collect();
     }
     let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move || (lo..hi).map(|i| source.par_get(i)).collect::<Vec<_>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for handle in handles {
-            out.extend(handle.join().expect("rayon-shim worker panicked"));
+    let slots: Vec<Mutex<Vec<T::Item>>> =
+        (0..n.div_ceil(chunk)).map(|_| Mutex::new(Vec::new())).collect();
+    pool::run(
+        slots.len(),
+        &|c| {
+            let items = (c * chunk..((c + 1) * chunk).min(n)).map(|i| source.par_get(i)).collect();
+            *lock(&slots[c]) = items;
+        },
+        || (),
+    );
+    let mut out = Vec::with_capacity(n);
+    for slot in slots {
+        out.extend(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
+    }
+    out
+}
+
+/// The process-wide worker pool behind every parallel call.
+///
+/// The pool owns no results: a dispatch publishes a borrowed chunk body and a
+/// chunk count, workers and the caller claim chunk indices from an atomic
+/// counter, and the body writes each chunk's output into caller-owned slots.
+#[allow(unsafe_code)]
+mod pool {
+    use std::any::Any;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
+
+    use crate::lock;
+
+    /// A chunk body: called once for each chunk index of a dispatch.
+    type Body<'a> = dyn Fn(usize) + Sync + 'a;
+
+    /// A caught panic payload.
+    type Panic = Box<dyn Any + Send>;
+
+    /// How many times a caller polls for a worker's last chunk before it
+    /// parks: only long enough to skip the park/wake round trip when that
+    /// chunk is about to finish.
+    const SPINS: u32 = 1 << 10;
+
+    /// Worker threads to start for `threads` hardware threads: the caller of
+    /// every dispatch works too, so one fewer.
+    pub(crate) fn workers_for(threads: usize) -> usize {
+        threads.saturating_sub(1)
+    }
+
+    /// One published dispatch. Workers hold it through an `Arc`, so a worker
+    /// that wakes after the dispatch returned still touches live counters;
+    /// it finds `next >= n` and never calls `body`.
+    struct Job {
+        body: &'static Body<'static>,
+        n: usize,
+        /// The next unclaimed chunk index.
+        next: AtomicUsize,
+        /// Chunks finished, panicked or not.
+        done: AtomicUsize,
+        /// The first panic payload; also the lock the caller parks on.
+        panic: Mutex<Option<Panic>>,
+        /// Signalled by whoever finishes the last chunk.
+        finished: Condvar,
+    }
+
+    impl Job {
+        /// Claim and run chunks until none are left.
+        fn work(&self) {
+            loop {
+                // Relaxed: the counter only hands out indices; the job itself
+                // reached this thread through the pool's mutex.
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                if i >= self.n {
+                    return;
+                }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(i))) {
+                    let mut first = lock(&self.panic);
+                    if first.is_none() {
+                        *first = Some(payload);
+                    } else {
+                        // Dropping a payload runs arbitrary code that may
+                        // panic again, outside any catch; leak it instead.
+                        std::mem::forget(payload);
+                    }
+                }
+                // Release pairs with the Acquire loads in `wait`: the chunk's
+                // writes are visible to the caller once it sees the count.
+                if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+                    let _guard = lock(&self.panic);
+                    self.finished.notify_all();
+                }
+            }
         }
-        out
-    })
+
+        /// Block until every chunk has finished.
+        fn wait(&self) {
+            for _ in 0..SPINS {
+                if self.done.load(Ordering::Acquire) == self.n {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            let mut guard = lock(&self.panic);
+            while self.done.load(Ordering::Acquire) < self.n {
+                guard = self.finished.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
+    /// The job slot workers watch. `epoch` counts publications, so a worker
+    /// takes each job at most once.
+    struct Slot {
+        epoch: u64,
+        job: Option<Arc<Job>>,
+    }
+
+    /// Set while a dispatch owns the pool.
+    static BUSY: AtomicBool = AtomicBool::new(false);
+    static SLOT: Mutex<Slot> = Mutex::new(Slot { epoch: 0, job: None });
+    /// Signalled on every publication; idle workers park on it.
+    static WAKE: Condvar = Condvar::new();
+    static START: Once = Once::new();
+    /// Worker threads started so far (only ever by `START`).
+    static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+    /// Run `first` and then `body(i)` for every chunk `i` in `0..n`: the
+    /// chunks on the pool's workers and the calling thread, `first` on the
+    /// calling thread. Returns `first`'s result once every chunk has
+    /// finished. A panic — `first`'s, else the first chunk's to be caught —
+    /// is re-raised here, but only after every chunk has finished.
+    ///
+    /// With one hardware thread, or while another dispatch owns the pool,
+    /// everything runs inline on the caller, in order.
+    pub(crate) fn run<R>(n: usize, body: &Body<'_>, first: impl FnOnce() -> R) -> R {
+        let threads = crate::current_num_threads();
+        if threads > 1 {
+            START.call_once(|| start(workers_for(threads)));
+        }
+        if threads <= 1
+            || BUSY.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err()
+        {
+            let value = first();
+            (0..n).for_each(body);
+            return value;
+        }
+        // SAFETY: the pool's workers are detached, so the body they call must
+        // be `'static`; this erases the borrow's lifetime. Workers call
+        // `body` only for a chunk index they claimed below `n`, and each such
+        // call increments `done` when it ends, panicking or not. This
+        // function returns or unwinds only after `job.wait()` has seen
+        // `done == n`: `first` and every chunk body run under
+        // `catch_unwind`, and nothing between publishing the job and that
+        // wait can panic (poisoned locks are recovered). So no call of
+        // `body` outlives the borrow. A worker that picks the job up later
+        // reads `next >= n` through its own `Arc` and never dereferences
+        // `body`.
+        let body = unsafe { std::mem::transmute::<&Body<'_>, &'static Body<'static>>(body) };
+        let job = Arc::new(Job {
+            body,
+            n,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            finished: Condvar::new(),
+        });
+        {
+            let mut slot = lock(&SLOT);
+            slot.epoch += 1;
+            slot.job = Some(Arc::clone(&job));
+        }
+        WAKE.notify_all();
+        let value = catch_unwind(AssertUnwindSafe(first));
+        job.work();
+        job.wait();
+        lock(&SLOT).job = None;
+        BUSY.store(false, Ordering::Release);
+        let panic = lock(&job.panic).take();
+        match (value, panic) {
+            (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+            (Ok(value), None) => value,
+        }
+    }
+
+    /// Start the pool's workers. They are detached and live as long as the
+    /// process, like rayon's global pool: parked on `WAKE` when idle, and a
+    /// panic never reaches them (every chunk runs under `catch_unwind`).
+    /// A worker that fails to start costs only parallelism, since the caller
+    /// claims every chunk no worker takes.
+    fn start(workers: usize) {
+        for i in 0..workers {
+            let started = std::thread::Builder::new().name(format!("rayon-shim-{i}")).spawn(worker);
+            if started.is_ok() {
+                SPAWNED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// A worker's life: wait for a publication, help with its job, repeat.
+    fn worker() {
+        let mut seen = 0;
+        loop {
+            let job = {
+                let mut slot = lock(&SLOT);
+                while slot.epoch == seen {
+                    slot = WAKE.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                }
+                seen = slot.epoch;
+                slot.job.clone()
+            };
+            if let Some(job) = job {
+                job.work();
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn workers_for_leaves_the_caller_one_thread() {
+            assert_eq!(workers_for(1), 0);
+            assert_eq!(workers_for(2), 1);
+            assert_eq!(workers_for(64), 63);
+        }
+
+        #[test]
+        fn workers_start_once() {
+            for round in 0..1_000 {
+                let out: Vec<usize> = crate::run_in_chunks(&crate::RangeParIter { range: 0..32 });
+                assert_eq!(out[31], 31, "round {round}");
+            }
+            let expected = workers_for(crate::current_num_threads());
+            assert_eq!(SPAWNED.load(Ordering::Relaxed), expected);
+        }
+    }
 }
 
 /// Conversion into a parallel iterator (`(0..n).into_par_iter()`,
