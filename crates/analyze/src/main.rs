@@ -141,7 +141,8 @@ fn main() -> ExitCode {
             print!("{live}");
             return ExitCode::SUCCESS;
         }
-        let baseline_path = args.check_api_surface.as_deref().unwrap_or(std::path::Path::new(""));
+        let baseline_path =
+            args.check_api_surface.as_deref().unwrap_or_else(|| std::path::Path::new(""));
         let baseline = match std::fs::read_to_string(baseline_path) {
             Ok(text) => text,
             Err(error) => {

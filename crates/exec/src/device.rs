@@ -386,7 +386,9 @@ impl DeviceStats {
             launch_overhead_us: self.launch_overhead_us - baseline.launch_overhead_us,
             occupancy_sum: self.occupancy_sum - baseline.occupancy_sum,
             saturated_launches: self.saturated_launches.saturating_sub(baseline.saturated_launches),
-            modelled_host_ops: self.modelled_host_ops - baseline.modelled_host_ops,
+            // Saturates like the integer counters: an operation count
+            // cannot go negative (HostModel::time_us rejects one).
+            modelled_host_ops: (self.modelled_host_ops - baseline.modelled_host_ops).max(0.0),
             measured_host_us: self.measured_host_us - baseline.measured_host_us,
         }
     }
@@ -756,6 +758,7 @@ mod tests {
         assert_eq!(d.logical_threads, 600);
         assert!((d.modelled_device_us - 30.0).abs() < 1e-12);
         assert!((d.mean_occupancy() - 0.25).abs() < 1e-12);
+        assert_eq!(b.delta(&a).modelled_host_ops, 0.0);
         assert!(!d.is_empty());
         assert!(DeviceStats::default().is_empty());
         assert_eq!(DeviceStats::default().mean_occupancy(), 0.0);

@@ -165,7 +165,7 @@ impl RunReport {
     /// The interval summaries of the retained samples (what the maximisation
     /// stage consumes).
     pub fn interval_summaries(&self) -> Vec<CoalescentIntervals> {
-        self.samples.iter().map(|s| s.intervals.clone()).collect()
+        self.samples.iter().map(|s| s.intervals).collect()
     }
 
     /// Mean `ln P(D|G)` over the retained samples (NaN when none were kept).

@@ -64,10 +64,11 @@ impl SamplerConfig {
     }
 }
 
-/// One retained genealogy, reduced to what the maximiser needs.
-#[derive(Debug, Clone, PartialEq)]
+/// One retained genealogy, reduced to what the maximiser needs: five
+/// numbers, stored inline.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenealogySample {
-    /// The coalescent-interval summary of the sampled genealogy.
+    /// The coalescent-interval statistics of the sampled genealogy.
     pub intervals: CoalescentIntervals,
     /// `ln P(D|G)` of the sampled genealogy.
     pub log_data_likelihood: f64,

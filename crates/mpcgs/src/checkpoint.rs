@@ -19,14 +19,27 @@
 //!   via [`Json::u64_text`], because a JSON number is an `f64` and cannot
 //!   hold the full 64-bit range.
 //!
+//! Retained draws are fixed-size summaries (see
+//! [`CoalescentIntervals`]), so each chain writes them as five columnar
+//! arrays under `samples` — `n_coalescences`, `waiting_statistic`, `depth`,
+//! `total_branch_length` and `log_data_likelihood`, one entry per draw —
+//! rather than one object per draw.
+//!
 //! # Versioning rules
 //!
-//! The document carries `"format": "mpcgs-checkpoint/v1"`. A reader rejects
-//! any other format string with a pointed error (no silent best-effort
-//! parsing). Compatible extensions — new optional fields — keep the version;
-//! any change that alters the meaning of an existing field bumps it, and a
-//! bumped version is a new format: old readers refuse it, new readers may
-//! choose to translate old documents explicitly.
+//! The document carries `"format": "mpcgs-checkpoint/v2"`. A reader rejects
+//! any format string it does not know with a pointed error (no silent
+//! best-effort parsing). Compatible extensions — new optional fields — keep
+//! the version; any change that alters the meaning of an existing field
+//! bumps it, and a bumped version is a new format: old readers refuse it,
+//! new readers may choose to translate old documents explicitly.
+//!
+//! `mpcgs-checkpoint/v1` documents are translated this way, read-only. v1
+//! stored every draw as its full interval list; the decoder reduces each
+//! list to the same summary, summing in stored order — the order
+//! [`CoalescentIntervals::from_tree`] sums in — so a v1 document resumes bit
+//! for bit. Nothing writes v1 any more: re-encoding a decoded v1 document
+//! produces v2.
 //!
 //! Every decode error names the field it failed on, so a truncated or
 //! hand-edited checkpoint fails loudly at load time instead of corrupting a
@@ -36,14 +49,26 @@ use codec::Json;
 use exec::Backend;
 use lamarc::run::{ChainSnapshot, RunCounters};
 use lamarc::sampler::GenealogySample;
-use phylo::tree::{CoalescentIntervals, Interval};
+use phylo::tree::CoalescentIntervals;
 use phylo::{GeneTree, NodeRecord, PhyloError};
 
 use crate::ensemble::{EnsembleSnapshot, EnsembleSpec, ExchangePolicy};
 use crate::session::EmIterationReport;
 
-/// The format tag every v1 checkpoint document carries.
-pub const CHECKPOINT_FORMAT: &str = "mpcgs-checkpoint/v1";
+/// The format tag of the documents this build writes.
+pub const CHECKPOINT_FORMAT: &str = "mpcgs-checkpoint/v2";
+
+/// The previous format tag: still decoded, never written.
+const CHECKPOINT_FORMAT_V1: &str = "mpcgs-checkpoint/v1";
+
+/// The document versions the decoder understands.
+#[derive(Clone, Copy)]
+enum Format {
+    /// Per-draw interval lists (read-only).
+    V1,
+    /// Columnar per-draw summaries.
+    V2,
+}
 
 /// A frozen θ-estimation run: the EM loop position plus the full chain (or
 /// ensemble) state, ready to be written to disk and resumed bit-identically.
@@ -108,14 +133,15 @@ fn decode_u64(json: &Json, key: &str, context: &str) -> Result<u64, PhyloError> 
 }
 
 fn decode_usize(json: &Json, key: &str, context: &str) -> Result<usize, PhyloError> {
-    let x = field(json, key, context)?
-        .as_f64()
-        .ok_or_else(|| decode_err(format!("checkpoint {context}: field {key:?} is not a count")))?;
+    decode_count(field(json, key, context)?, || format!("checkpoint {context}: field {key:?}"))
+}
+
+/// A JSON number holding a non-negative integer; errors start with `what()`.
+fn decode_count(value: &Json, what: impl Fn() -> String) -> Result<usize, PhyloError> {
+    let x = value.as_f64().ok_or_else(|| decode_err(format!("{} is not a count", what())))?;
     // mpcgs-analyze: allow(d5, reason = "integrality validation: fract() of a JSON-decoded count is exactly 0.0 iff the value is an integer")
     if x < 0.0 || x.fract() != 0.0 {
-        return Err(decode_err(format!(
-            "checkpoint {context}: field {key:?} is not a non-negative integer (got {x})"
-        )));
+        return Err(decode_err(format!("{} is not a non-negative integer (got {x})", what())));
     }
     Ok(x as usize)
 }
@@ -224,40 +250,91 @@ fn optional_tree_from_json(json: &Json) -> Result<Option<GeneTree>, PhyloError> 
 // Samples and counters
 // ---------------------------------------------------------------------------
 
-fn sample_to_json(sample: &GenealogySample) -> Json {
-    let intervals: Vec<Json> = sample
-        .intervals
-        .intervals()
-        .iter()
-        .map(|iv| {
-            object(vec![
-                ("start", Json::exact_f64(iv.start)),
-                ("length", Json::exact_f64(iv.length)),
-                ("lineages", Json::Number(iv.lineages as f64)),
-                ("coalescence", Json::Bool(iv.ends_in_coalescence)),
-            ])
-        })
-        .collect();
+/// Encode retained draws as five columns of exact values, one entry per draw.
+fn samples_to_json(samples: &[GenealogySample]) -> Json {
+    let column =
+        |value: fn(&GenealogySample) -> Json| Json::Array(samples.iter().map(value).collect());
     object(vec![
-        ("intervals", Json::Array(intervals)),
-        ("log_data_likelihood", Json::exact_f64(sample.log_data_likelihood)),
+        ("n_coalescences", column(|s| Json::Number(s.intervals.n_coalescences as f64))),
+        ("waiting_statistic", column(|s| Json::exact_f64(s.intervals.waiting_statistic))),
+        ("depth", column(|s| Json::exact_f64(s.intervals.depth))),
+        ("total_branch_length", column(|s| Json::exact_f64(s.intervals.total_branch_length))),
+        ("log_data_likelihood", column(|s| Json::exact_f64(s.log_data_likelihood))),
     ])
 }
 
-fn sample_from_json(json: &Json) -> Result<GenealogySample, PhyloError> {
-    let context = "sample";
-    let mut intervals = Vec::new();
-    for iv in decode_array(json, "intervals", context)? {
-        intervals.push(Interval {
-            start: decode_f64(iv, "start", "interval")?,
-            length: decode_f64(iv, "length", "interval")?,
-            lineages: decode_usize(iv, "lineages", "interval")?,
-            ends_in_coalescence: decode_bool(iv, "coalescence", "interval")?,
+/// Decode the v2 columnar `samples` object: five arrays of equal length.
+fn samples_from_json(json: &Json) -> Result<Vec<GenealogySample>, PhyloError> {
+    let counts = decode_array(json, "n_coalescences", "samples")?;
+    let column = |key: &str| {
+        let values = decode_array(json, key, "samples")?;
+        if values.len() != counts.len() {
+            return Err(decode_err(format!(
+                "checkpoint samples: column {key:?} has {} entries but \"n_coalescences\" has {}",
+                values.len(),
+                counts.len()
+            )));
+        }
+        Ok(values)
+    };
+    let (waiting, depth, length, loglik) = (
+        column("waiting_statistic")?,
+        column("depth")?,
+        column("total_branch_length")?,
+        column("log_data_likelihood")?,
+    );
+    let exact = |value: &Json, key: &str, i: usize| {
+        value.as_exact_f64().ok_or_else(|| {
+            decode_err(format!("checkpoint samples: {key:?} entry {i} is not an f64"))
+        })
+    };
+    let rows = counts.iter().zip(waiting).zip(depth).zip(length).zip(loglik).enumerate();
+    let mut samples = Vec::with_capacity(counts.len());
+    for (i, ((((count, w), d), t), l)) in rows {
+        samples.push(GenealogySample {
+            intervals: CoalescentIntervals {
+                n_coalescences: decode_count(count, || {
+                    format!("checkpoint samples: \"n_coalescences\" entry {i}")
+                })?,
+                waiting_statistic: exact(w, "waiting_statistic", i)?,
+                depth: exact(d, "depth", i)?,
+                total_branch_length: exact(t, "total_branch_length", i)?,
+            },
+            log_data_likelihood: exact(l, "log_data_likelihood", i)?,
         });
     }
+    Ok(samples)
+}
+
+/// Decode one v1 draw — `{intervals: [{start, length, lineages,
+/// coalescence}…], log_data_likelihood}` — reducing its interval list to the
+/// summary in stored order, which is the order
+/// [`CoalescentIntervals::from_tree`] sums in, so the statistics come out
+/// bit-identical to the ones the run had in memory.
+fn v1_sample_from_json(json: &Json) -> Result<GenealogySample, PhyloError> {
+    let context = "interval";
+    let mut summary = CoalescentIntervals {
+        n_coalescences: 0,
+        waiting_statistic: 0.0,
+        depth: 0.0,
+        total_branch_length: 0.0,
+    };
+    for iv in decode_array(json, "intervals", "sample")? {
+        let start = decode_f64(iv, "start", context)?;
+        let length = decode_f64(iv, "length", context)?;
+        let lineages = decode_usize(iv, "lineages", context)?;
+        let pairs =
+            lineages.checked_sub(1).and_then(|k| k.checked_mul(lineages)).ok_or_else(|| {
+                decode_err(format!("checkpoint interval: lineage count {lineages} is out of range"))
+            })?;
+        summary.waiting_statistic += pairs as f64 * length;
+        summary.total_branch_length += lineages as f64 * length;
+        summary.depth = start + length;
+        summary.n_coalescences += decode_bool(iv, "coalescence", context)? as usize;
+    }
     Ok(GenealogySample {
-        intervals: CoalescentIntervals::from_intervals(intervals),
-        log_data_likelihood: decode_f64(json, "log_data_likelihood", context)?,
+        intervals: summary,
+        log_data_likelihood: decode_f64(json, "log_data_likelihood", "sample")?,
     })
 }
 
@@ -313,7 +390,7 @@ pub fn chain_snapshot_to_json(snapshot: &ChainSnapshot) -> Json {
             Json::Array(snapshot.trace_values.iter().map(|&x| Json::exact_f64(x)).collect()),
         ),
         ("trace_burn_in", Json::Number(snapshot.trace_burn_in as f64)),
-        ("samples", Json::Array(snapshot.samples.iter().map(sample_to_json).collect())),
+        ("samples", samples_to_json(&snapshot.samples)),
         ("counters", counters_to_json(&snapshot.counters)),
         ("draws_done", Json::Number(snapshot.draws_done as f64)),
         ("swapped_loglik", snapshot.swapped_loglik.map_or(Json::Null, Json::exact_f64)),
@@ -324,6 +401,10 @@ pub fn chain_snapshot_to_json(snapshot: &ChainSnapshot) -> Json {
 
 /// Decode one in-flight chain.
 pub fn chain_snapshot_from_json(json: &Json) -> Result<ChainSnapshot, PhyloError> {
+    chain_from_json(json, Format::V2)
+}
+
+fn chain_from_json(json: &Json, format: Format) -> Result<ChainSnapshot, PhyloError> {
     let context = "chain";
     let mut trace_values = Vec::new();
     for (i, value) in decode_array(json, "trace_values", context)?.iter().enumerate() {
@@ -331,10 +412,13 @@ pub fn chain_snapshot_from_json(json: &Json) -> Result<ChainSnapshot, PhyloError
             decode_err(format!("checkpoint chain: trace value {i} is not an f64"))
         })?);
     }
-    let samples = decode_array(json, "samples", context)?
-        .iter()
-        .map(sample_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
+    let samples = match format {
+        Format::V2 => samples_from_json(field(json, "samples", context)?)?,
+        Format::V1 => decode_array(json, "samples", context)?
+            .iter()
+            .map(v1_sample_from_json)
+            .collect::<Result<Vec<_>, _>>()?,
+    };
     let swapped_loglik = match field(json, "swapped_loglik", context)? {
         Json::Null => None,
         other => Some(other.as_exact_f64().ok_or_else(|| {
@@ -447,10 +531,14 @@ pub fn ensemble_snapshot_to_json(snapshot: &EnsembleSnapshot) -> Json {
 
 /// Decode a whole frozen ensemble.
 pub fn ensemble_snapshot_from_json(json: &Json) -> Result<EnsembleSnapshot, PhyloError> {
+    ensemble_from_json(json, Format::V2)
+}
+
+fn ensemble_from_json(json: &Json, format: Format) -> Result<EnsembleSnapshot, PhyloError> {
     let context = "ensemble";
     let chains = decode_array(json, "chains", context)?
         .iter()
-        .map(chain_snapshot_from_json)
+        .map(|chain| chain_from_json(chain, format))
         .collect::<Result<Vec<_>, _>>()?;
     let mut chain_rng_positions = Vec::new();
     for (k, p) in decode_array(json, "chain_rng_positions", context)?.iter().enumerate() {
@@ -530,19 +618,23 @@ impl SessionCheckpoint {
         self.to_json().to_pretty()
     }
 
-    /// Decode a document, rejecting unknown format versions with a pointed
-    /// error.
+    /// Decode a document — the current format or a read-only v1 one —
+    /// rejecting unknown format versions with a pointed error.
     pub fn from_json(json: &Json) -> Result<SessionCheckpoint, PhyloError> {
         let context = "document";
-        let format = field(json, "format", context)?
+        let tag = field(json, "format", context)?
             .as_str()
             .ok_or_else(|| decode_err("checkpoint document: format tag is not a string"))?;
-        if format != CHECKPOINT_FORMAT {
-            return Err(decode_err(format!(
-                "checkpoint version mismatch: this build reads {CHECKPOINT_FORMAT:?} but the \
-                 document declares {format:?}"
-            )));
-        }
+        let format = match tag {
+            CHECKPOINT_FORMAT => Format::V2,
+            CHECKPOINT_FORMAT_V1 => Format::V1,
+            other => {
+                return Err(decode_err(format!(
+                    "checkpoint version mismatch: this build reads {CHECKPOINT_FORMAT:?} and \
+                     {CHECKPOINT_FORMAT_V1:?} but the document declares {other:?}"
+                )))
+            }
+        };
         let strategy = field(json, "strategy", context)?
             .as_str()
             .ok_or_else(|| decode_err("checkpoint document: strategy is not a string"))?
@@ -556,12 +648,13 @@ impl SessionCheckpoint {
             .as_str()
             .ok_or_else(|| decode_err("checkpoint state: mode is not a string"))?;
         let state = match mode {
-            "single" => CheckpointState::SingleChain(Box::new(chain_snapshot_from_json(field(
-                state_json, "chain", "state",
-            )?)?)),
+            "single" => CheckpointState::SingleChain(Box::new(chain_from_json(
+                field(state_json, "chain", "state")?,
+                format,
+            )?)),
             "ensemble" => CheckpointState::Ensemble {
                 spec: ensemble_spec_from_json(field(state_json, "spec", "state")?)?,
-                snapshot: ensemble_snapshot_from_json(field(state_json, "ensemble", "state")?)?,
+                snapshot: ensemble_from_json(field(state_json, "ensemble", "state")?, format)?,
             },
             other => {
                 return Err(decode_err(format!(
@@ -696,7 +789,7 @@ mod tests {
         // A future format version is refused, naming both versions.
         let future = object(vec![("format", Json::string("mpcgs-checkpoint/v9"))]);
         let err = SessionCheckpoint::from_json(&future).unwrap_err().to_string();
-        assert!(err.contains("mpcgs-checkpoint/v1") && err.contains("mpcgs-checkpoint/v9"));
+        assert!(err.contains("mpcgs-checkpoint/v2") && err.contains("mpcgs-checkpoint/v9"));
 
         // A truncated chain names the missing field.
         let err = chain_snapshot_from_json(&object(vec![("tree", tree_to_json(&tiny_tree()))]))

@@ -324,7 +324,7 @@ impl EnsembleReport {
 
     /// Pooled interval summaries (what the maximisation stage consumes).
     pub fn pooled_interval_summaries(&self) -> Vec<CoalescentIntervals> {
-        self.pooled_samples.iter().map(|s| s.intervals.clone()).collect()
+        self.pooled_samples.iter().map(|s| s.intervals).collect()
     }
 
     /// The maximiser of the pooled relative likelihood (Eq. 26 over the
@@ -842,7 +842,7 @@ impl GenealogySampler for ShardedSampler {
             .iter()
             .zip(&self.cold_rungs)
             .filter(|(_, &cold)| cold)
-            .flat_map(|(c, _)| c.samples.iter().cloned())
+            .flat_map(|(c, _)| c.samples.iter().copied())
             .collect();
         let mut counters =
             chains.iter().fold(RunCounters::default(), |acc, chain| acc.merged(&chain.counters));
@@ -1046,7 +1046,9 @@ impl EnsembleBuilder {
         let spec = EnsembleSpec {
             n_chains: self.n_chains,
             exchange: self.exchange,
-            ensemble_seed: self.ensemble_seed.unwrap_or(EnsembleSpec::default().ensemble_seed),
+            ensemble_seed: self
+                .ensemble_seed
+                .unwrap_or_else(|| EnsembleSpec::default().ensemble_seed),
             chain_dispatch: self.chain_dispatch,
         };
         spec.validate()?;

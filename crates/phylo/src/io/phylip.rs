@@ -20,8 +20,9 @@ const NAME_WIDTH: usize = 10;
 /// Parse a PHYLIP-format alignment from text.
 pub fn parse_phylip(text: &str) -> Result<Alignment, PhyloError> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-    let (header_line_no, header) =
-        lines.next().ok_or(PhyloError::Parse { line: 0, message: "empty PHYLIP input".into() })?;
+    let (header_line_no, header) = lines
+        .next()
+        .ok_or_else(|| PhyloError::Parse { line: 0, message: "empty PHYLIP input".into() })?;
     let mut header_fields = header.split_whitespace();
     let n_seqs: usize =
         header_fields.next().and_then(|f| f.parse().ok()).ok_or_else(|| PhyloError::Parse {
@@ -116,7 +117,7 @@ fn split_name(line: &str) -> (String, &str) {
 
 fn append_bases(text: &str, line_no: usize, bases: &mut Vec<Nucleotide>) -> Result<(), PhyloError> {
     for c in text.chars().filter(|c| !c.is_whitespace()) {
-        let base = Nucleotide::from_char(c).ok_or(PhyloError::Parse {
+        let base = Nucleotide::from_char(c).ok_or_else(|| PhyloError::Parse {
             line: line_no + 1,
             message: format!("invalid nucleotide character {c:?}"),
         })?;
@@ -201,7 +202,13 @@ seq_three ACGTTCGTACGA
         assert!(parse_phylip(" 2 5\ns1 ACGT\ns2 ACGTA\n").is_err());
         // Invalid character.
         let err = parse_phylip(" 1 4\ns1 ACGX\n").unwrap_err();
-        assert!(matches!(err, PhyloError::Parse { .. }));
+        match err {
+            PhyloError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("'X'"), "unpointed error: {message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,108 +1,75 @@
-//! Coalescent intervals of a genealogy (Figure 3 of the paper).
+//! The coalescent-interval sufficient statistics of a genealogy (Figure 3 of
+//! the paper).
 //!
 //! Viewed backwards in time, a genealogy is a sequence of intervals during
 //! each of which a constant number of lineages `k` exists; each interval ends
 //! either when two lineages coalesce (k decreases by one) or, for serially
 //! sampled data, when a new tip enters (k increases by one). The coalescent
-//! prior `P(G|θ)` of Eq. 18 depends on the genealogy only through these
-//! intervals, which is why the sampler stores sampled genealogies as interval
-//! summaries rather than full trees (Section 5.1.3: "nothing more than the
-//! time intervals are stored for each sample").
+//! prior `P(G|θ)` of Eq. 18 depends on the genealogy only through two numbers
+//! drawn from those intervals: the number of coalescences and the waiting
+//! statistic `W = Σ k(k−1)·t_k`. The paper stores "nothing more than the time
+//! intervals" for each sample (Section 5.1.3); this module goes one step
+//! further and stores only what the estimator and the diagnostics read — the
+//! two numbers Eq. 26 needs, plus the tree depth and total branch length — as
+//! a fixed-size `Copy` value, so a retained draw owns no heap memory.
 
 use super::GeneTree;
 
-/// One interval of constant lineage count.
+/// The sufficient statistics of a genealogy's interval decomposition.
+///
+/// Every field is accumulated over the intervals ordered from the present
+/// into the past, zero-length intervals that end in a coalescence (tied node
+/// times) included, so the sums are reproducible bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Interval {
-    /// Time at which the interval starts (closer to the present).
-    pub start: f64,
-    /// Length of the interval (`t_i` of Figure 3).
-    pub length: f64,
-    /// Number of lineages present throughout the interval (`k`).
-    pub lineages: usize,
-    /// Whether the interval ends with a coalescence (as opposed to a new
-    /// serially-sampled tip entering).
-    pub ends_in_coalescence: bool,
-}
-
-/// The interval decomposition of a genealogy.
-#[derive(Debug, Clone, PartialEq)]
 pub struct CoalescentIntervals {
-    intervals: Vec<Interval>,
-    n_coalescences: usize,
+    /// Number of coalescent events (`n_tips − 1`).
+    pub n_coalescences: usize,
+    /// The waiting statistic `W = Σ k(k−1)·t_k` of Eq. 18.
+    pub waiting_statistic: f64,
+    /// Time from the present to the last coalescence.
+    pub depth: f64,
+    /// Total branch length `Σ k·t_k`.
+    pub total_branch_length: f64,
 }
 
 impl CoalescentIntervals {
-    /// Extract intervals from a genealogy.
+    /// Summarise a genealogy in one pass over its sorted node times.
     pub fn from_tree(tree: &GeneTree) -> Self {
-        #[derive(PartialEq)]
-        enum Event {
-            TipEnters,
-            Coalescence,
-        }
-        let mut events: Vec<(f64, Event)> = Vec::with_capacity(tree.n_nodes());
-        for node in 0..tree.n_nodes() {
-            if tree.is_tip(node) {
-                events.push((tree.time(node), Event::TipEnters));
-            } else {
-                events.push((tree.time(node), Event::Coalescence));
-            }
-        }
-        // Sort by time; tips entering at a given time are processed before
-        // coalescences at the same time so that lineage counts never go
-        // negative for contemporaneous data.
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then_with(|| {
-                match (&a.1, &b.1) {
-                    (Event::TipEnters, Event::Coalescence) => std::cmp::Ordering::Less,
-                    (Event::Coalescence, Event::TipEnters) => std::cmp::Ordering::Greater,
-                    _ => std::cmp::Ordering::Equal,
-                }
-            })
+        // (time, is_coalescence): tips entering at a given time sort before
+        // coalescences at the same time, so lineage counts never go negative
+        // for contemporaneous data.
+        let mut events: Vec<(f64, bool)> =
+            (0..tree.n_nodes()).map(|node| (tree.time(node), !tree.is_tip(node))).collect();
+        events.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
         });
 
-        let mut intervals = Vec::new();
-        let mut n_coalescences = 0usize;
+        let mut summary = CoalescentIntervals {
+            n_coalescences: 0,
+            waiting_statistic: 0.0,
+            depth: 0.0,
+            total_branch_length: 0.0,
+        };
         let mut lineages = 0usize;
-        let mut prev_time = events.first().map(|e| e.0).unwrap_or(0.0);
-        for (time, event) in events {
+        let mut prev_time = events.first().map_or(0.0, |e| e.0);
+        for (time, coalescence) in events {
             let length = time - prev_time;
-            let ends_in_coalescence = event == Event::Coalescence;
-            // A zero-length interval is kept when it ends in a coalescence
-            // (tied node times), so every coalescence owns an interval and
-            // `from_intervals` recounts the same `n_coalescences`.
-            if lineages > 0 && (length > 0.0 || ends_in_coalescence) {
-                intervals.push(Interval {
-                    start: prev_time,
-                    length,
-                    lineages,
-                    ends_in_coalescence,
-                });
+            // An interval closes at every event once a lineage exists; a
+            // zero-length one still counts when it ends in a coalescence.
+            if lineages > 0 && (length > 0.0 || coalescence) {
+                summary.waiting_statistic += (lineages * (lineages - 1)) as f64 * length;
+                summary.total_branch_length += lineages as f64 * length;
+                summary.depth = prev_time + length;
             }
-            match event {
-                Event::TipEnters => lineages += 1,
-                Event::Coalescence => {
-                    lineages = lineages.saturating_sub(1);
-                    n_coalescences += 1;
-                }
+            if coalescence {
+                lineages = lineages.saturating_sub(1);
+                summary.n_coalescences += 1;
+            } else {
+                lineages += 1;
             }
             prev_time = time;
         }
-        CoalescentIntervals { intervals, n_coalescences }
-    }
-
-    /// Build directly from raw interval data (used by the samplers when they
-    /// reduce genealogies to interval summaries). Round-trips
-    /// [`CoalescentIntervals::from_tree`]: every coalescence there ends an
-    /// interval, zero-length ones included.
-    pub fn from_intervals(intervals: Vec<Interval>) -> Self {
-        let n_coalescences = intervals.iter().filter(|i| i.ends_in_coalescence).count();
-        CoalescentIntervals { intervals, n_coalescences }
-    }
-
-    /// The intervals, ordered from the present into the past.
-    pub fn intervals(&self) -> &[Interval] {
-        &self.intervals
+        summary
     }
 
     /// Number of coalescent events in the genealogy (`n_tips − 1`).
@@ -112,18 +79,18 @@ impl CoalescentIntervals {
 
     /// Total tree length implied by the intervals (Σ k·t over intervals).
     pub fn total_branch_length(&self) -> f64 {
-        self.intervals.iter().map(|i| i.lineages as f64 * i.length).sum()
+        self.total_branch_length
     }
 
     /// Time from the present to the last coalescence (the tree height for
     /// contemporaneous samples).
     pub fn depth(&self) -> f64 {
-        self.intervals.last().map(|i| i.start + i.length).unwrap_or(0.0)
+        self.depth
     }
 
     /// The Σ k(k−1)·t_k statistic appearing in the exponent of Eq. 18.
     pub fn waiting_statistic(&self) -> f64 {
-        self.intervals.iter().map(|i| (i.lineages * (i.lineages - 1)) as f64 * i.length).sum()
+        self.waiting_statistic
     }
 }
 
@@ -147,16 +114,12 @@ mod tests {
 
     #[test]
     fn contemporaneous_intervals_have_decreasing_lineage_counts() {
+        // Intervals of 4, 3 and 2 lineages lasting 1.0, 1.5 and 1.5.
         let iv = four_tip_tree().intervals();
-        let ks: Vec<usize> = iv.intervals().iter().map(|i| i.lineages).collect();
-        assert_eq!(ks, vec![4, 3, 2]);
-        let lens: Vec<f64> = iv.intervals().iter().map(|i| i.length).collect();
-        assert!((lens[0] - 1.0).abs() < 1e-12);
-        assert!((lens[1] - 1.5).abs() < 1e-12);
-        assert!((lens[2] - 1.5).abs() < 1e-12);
         assert_eq!(iv.n_coalescences(), 3);
-        assert!(iv.intervals().iter().all(|i| i.ends_in_coalescence));
         assert!((iv.depth() - 4.0).abs() < 1e-12);
+        assert!((iv.total_branch_length() - (4.0 * 1.0 + 3.0 * 1.5 + 2.0 * 1.5)).abs() < 1e-12);
+        assert!((iv.waiting_statistic() - (12.0 * 1.0 + 6.0 * 1.5 + 2.0 * 1.5)).abs() < 1e-12);
     }
 
     #[test]
@@ -178,12 +141,13 @@ mod tests {
         let a = b.join(t0, t1, 1.0);
         b.join(a, late, 3.0);
         let iv = b.build().unwrap().intervals();
-        let ks: Vec<usize> = iv.intervals().iter().map(|i| i.lineages).collect();
-        // 2 lineages from 0..1, 1 lineage 1..2, 2 lineages 2..3.
-        assert_eq!(ks, vec![2, 1, 2]);
-        let coalescing: Vec<bool> = iv.intervals().iter().map(|i| i.ends_in_coalescence).collect();
-        assert_eq!(coalescing, vec![true, false, true]);
+        // 2 lineages from 0..1, 1 lineage 1..2, 2 lineages 2..3: the
+        // one-lineage interval adds branch length but nothing to W, and the
+        // tip entering at 2.0 is not a coalescence.
         assert_eq!(iv.n_coalescences(), 2);
+        assert!((iv.waiting_statistic() - (2.0 * 1.0 + 2.0 * 1.0)).abs() < 1e-12);
+        assert!((iv.total_branch_length() - (2.0 + 1.0 + 2.0)).abs() < 1e-12);
+        assert!((iv.depth() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -193,25 +157,18 @@ mod tests {
         let y = b.add_tip("y", 0.0);
         b.join(x, y, 0.7);
         let iv = b.build().unwrap().intervals();
-        assert_eq!(iv.intervals().len(), 1);
-        assert_eq!(iv.intervals()[0].lineages, 2);
-        assert!((iv.intervals()[0].length - 0.7).abs() < 1e-12);
+        assert_eq!(iv.n_coalescences(), 1);
+        assert!((iv.depth() - 0.7).abs() < 1e-12);
+        assert!((iv.total_branch_length() - 1.4).abs() < 1e-12);
         assert!((iv.waiting_statistic() - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_intervals_round_trip() {
-        let iv = four_tip_tree().intervals();
-        let rebuilt = CoalescentIntervals::from_intervals(iv.intervals().to_vec());
-        assert_eq!(rebuilt, iv);
-        assert_eq!(rebuilt.n_coalescences(), 3);
     }
 
     #[test]
     fn simultaneous_coalescences_are_handled() {
         // Two cherries at exactly the same time then a root: the zero-length
-        // interval between the simultaneous events is kept, because it ends
-        // in a coalescence.
+        // interval between the simultaneous events still ends in a
+        // coalescence, so all three are counted and W only sees 4·3·1.0 and
+        // 2·1·1.0.
         let mut b = TreeBuilder::new();
         let t0 = b.add_tip("t0", 0.0);
         let t1 = b.add_tip("t1", 0.0);
@@ -221,10 +178,9 @@ mod tests {
         let c = b.join(t2, t3, 1.0);
         b.join(a, c, 2.0);
         let iv = b.build().unwrap().intervals();
-        let ks: Vec<usize> = iv.intervals().iter().map(|i| i.lineages).collect();
-        assert_eq!(ks, vec![4, 3, 2]);
-        assert_eq!(iv.intervals()[1].length, 0.0);
         assert_eq!(iv.n_coalescences(), 3);
-        assert_eq!(CoalescentIntervals::from_intervals(iv.intervals().to_vec()), iv);
+        assert_eq!(iv.waiting_statistic(), 14.0);
+        assert_eq!(iv.total_branch_length(), 6.0);
+        assert_eq!(iv.depth(), 2.0);
     }
 }

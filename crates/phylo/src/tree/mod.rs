@@ -21,7 +21,7 @@ mod intervals;
 pub mod legacy;
 
 pub use builder::TreeBuilder;
-pub use intervals::{CoalescentIntervals, Interval};
+pub use intervals::CoalescentIntervals;
 
 use crate::error::PhyloError;
 use crate::tables::TreeTables;
@@ -271,7 +271,7 @@ impl GeneTree {
         self.internal_nodes().iter().map(|&n| self.time(n)).collect()
     }
 
-    /// Extract the coalescent intervals of this genealogy (Figure 3).
+    /// Summarise the coalescent intervals of this genealogy (Figure 3).
     pub fn intervals(&self) -> CoalescentIntervals {
         CoalescentIntervals::from_tree(self)
     }

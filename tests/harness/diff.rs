@@ -335,7 +335,7 @@ pub fn records_bit_identical(a: &[NodeRecord], b: &[NodeRecord]) -> Result<(), S
     Ok(())
 }
 
-/// Encode a genealogy exactly like the `mpcgs-checkpoint/v1` tree codec:
+/// Encode a genealogy exactly like the checkpoint tree codec:
 /// one object per node (parent/children/time/label) plus the root id, times
 /// as exact decimal strings. Byte equality of two documents implies the
 /// checkpoint subsystem cannot tell the representations apart.
