@@ -24,6 +24,10 @@
 //! * **serve** — job-queue drain rate of the service layer (jobs/s and
 //!   p50/p99 job latency for a flood of small complete estimation jobs,
 //!   serial pool vs threaded pool).
+//! * **proposal** — nanoseconds per neighborhood plan (RNG-free; grows
+//!   about linearly with tree size) and per draw from a plan (forward pass,
+//!   placement, rewiring of a cloned tree; about flat) at 12, 48 and 96
+//!   tips. Reported, not gated.
 //!
 //! `--check-against <baseline.json>` compares the current run to a
 //! committed artefact and exits non-zero on a >15% regression
@@ -504,6 +508,48 @@ fn serve_section(opts: &Opts) -> Json {
 }
 
 // ---------------------------------------------------------------------------
+// Section 7: neighborhood proposals, split into the plan and its draws.
+
+fn proposal_section(opts: &Opts) -> Json {
+    let (reps, rounds) = if opts.smoke { (500, 3) } else { (5_000, 7) };
+    let proposer = GenealogyProposer::new(1.0).expect("valid theta");
+    let mut rows = Vec::new();
+    for tips in [12usize, 48, 96] {
+        let mut rng = harness_rng("perf-trajectory-proposal", tips as u64);
+        let tree = CoalescentSimulator::constant(1.0)
+            .expect("valid theta")
+            .simulate(&mut rng, tips)
+            .expect("valid simulation size");
+        // Targets drawn as the sampler draws φ, so both costs average over
+        // the tree's neighborhoods.
+        let targets: Vec<NodeId> =
+            (0..reps).map(|_| proposer.sample_target(&tree, &mut rng)).collect();
+        let plans: Vec<_> = targets.iter().map(|&phi| proposer.plan(&tree, phi)).collect();
+        let plan_s = min_seconds_of(rounds, || {
+            for &phi in &targets {
+                std::hint::black_box(proposer.plan(&tree, phi));
+            }
+        });
+        let draw_s = min_seconds_of(rounds, || {
+            for plan in &plans {
+                std::hint::black_box(proposer.draw(plan, &tree, &mut rng));
+            }
+        });
+        let (plan_ns, draw_ns) = (plan_s / reps as f64 * 1e9, draw_s / reps as f64 * 1e9);
+        println!("proposal ({tips} tips): plan {plan_ns:.0} ns, draw {draw_ns:.0} ns");
+        rows.push((
+            format!("tips_{tips}"),
+            Json::Object(vec![
+                ("tips".to_string(), Json::Number(tips as f64)),
+                ("plan_ns".to_string(), Json::Number(plan_ns)),
+                ("draw_ns".to_string(), Json::Number(draw_ns)),
+            ]),
+        ));
+    }
+    Json::Object(rows)
+}
+
+// ---------------------------------------------------------------------------
 // Baseline comparison.
 
 /// A gated metric: dotted path into the artefact, and whether bigger is
@@ -606,6 +652,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     let snapshots = snapshots_section(opts);
     let ensemble = ensemble_section(opts);
     let serve = serve_section(opts);
+    let proposal = proposal_section(opts);
 
     let artefact = Json::Object(vec![
         ("schema".to_string(), Json::string(SCHEMA)),
@@ -627,6 +674,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         ("snapshots".to_string(), snapshots),
         ("ensemble".to_string(), ensemble),
         ("serve".to_string(), serve),
+        ("proposal".to_string(), proposal),
     ]);
 
     let out_path = match opts.out.as_deref() {

@@ -24,6 +24,17 @@
 //!    chosen uniformly among the active lineages available at the first
 //!    event ("the proposal may rearrange the children", Section 4.2).
 //!
+//! The work splits at the first random number. [`GenealogyProposer::plan`]
+//! does steps 1–3's deterministic part once per generator and target: the
+//! feasible intervals, their inactive-lineage counts (one sweep over the
+//! sorted edge endpoints, so a plan costs O(n log n)), the backward `P_i(n)`
+//! pass and the forward weights it induces. [`GenealogyProposer::draw`] does
+//! everything that consumes the RNG: the forward categorical pass, event
+//! placement and the topology pick, then the rewiring of a cloned tree. The
+//! multi-proposal sampler plans once per iteration and draws its N proposals
+//! from the shared plan, each with its own stream; `propose_with_edit` is a
+//! plan followed by one draw, so both paths consume the RNG identically.
+//!
 //! Because the proposal density is exactly proportional to the coalescent
 //! prior `P(G|θ)` restricted to the neighborhood, the Hastings ratio of the
 //! baseline sampler collapses to the data-likelihood ratio (Eq. 28) and the
@@ -72,6 +83,29 @@ pub struct GenealogyProposer {
     config: ProposalConfig,
 }
 
+/// The RNG-free half of a neighborhood resimulation (steps 1–3 of the module
+/// docs) for one generator tree and one target: built once by
+/// [`GenealogyProposer::plan`], then drawn from any number of times by
+/// [`GenealogyProposer::draw`], each draw with its own random stream.
+#[derive(Debug, Clone)]
+pub struct NeighbourhoodPlan {
+    /// `None` when the target is the root or a tip (the two-tip degenerate
+    /// case): the draw then re-draws the root time.
+    window: Option<Window>,
+}
+
+/// The dissolved neighborhood and its weighted feasible intervals.
+#[derive(Debug, Clone)]
+struct Window {
+    target: NodeId,
+    parent: NodeId,
+    heads: [NodeId; 3],
+    head_times: [f64; 3],
+    /// The ancestor's time, or `None` when the parent is the root.
+    upper: Option<f64>,
+    segments: Vec<Segment>,
+}
+
 /// One feasible interval of the resimulation window.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
@@ -83,6 +117,10 @@ struct Segment {
     inactive: usize,
     /// Whether this is the unbounded tail above the old root.
     unbounded: bool,
+    /// Forward weights of `d` events landing here, given `c` = 0 or 1
+    /// events already placed: `forward[c][d] = S_{a,a−d}(len)·β[s+1][c+d]`
+    /// with `a` = heads available minus `c` (unused in the unbounded tail).
+    forward: [[f64; 3]; 2],
 }
 
 impl GenealogyProposer {
@@ -145,30 +183,67 @@ impl GenealogyProposer {
     /// φ-neighborhood). The batched likelihood engine uses this to recompute
     /// only the dirty path from the edit to the root
     /// (`phylo::LikelihoodEngine::log_likelihood_batch`).
+    ///
+    /// One [`GenealogyProposer::plan`] followed by one
+    /// [`GenealogyProposer::draw`]; callers proposing many times from the
+    /// same tree and target should plan once and draw repeatedly.
     pub fn propose_with_edit<R: Rng + ?Sized>(
         &self,
         tree: &GeneTree,
         target: NodeId,
         rng: &mut R,
     ) -> (GeneTree, Vec<NodeId>) {
-        let mut out = tree.clone();
+        self.draw(&self.plan(tree, target), tree, rng)
+    }
+
+    /// Build the deterministic part of resimulating `target`'s neighborhood
+    /// in `tree`: the feasible intervals, their inactive-lineage counts, the
+    /// backward `P_i(n)` pass and the forward weights it induces. Consumes
+    /// no randomness; O(n log n) in the number of nodes.
+    pub fn plan(&self, tree: &GeneTree, target: NodeId) -> NeighbourhoodPlan {
         if tree.is_root(target) || tree.is_tip(target) {
-            // Two-tip degenerate case (or an explicit root target): re-draw
-            // the root time from the prior conditional on its children.
-            self.redraw_root_time(&mut out, rng);
-            return (out, vec![tree.root()]);
+            return NeighbourhoodPlan { window: None };
         }
         let parent = tree.parent(target).expect("non-root node has a parent");
         let (c1, c2) = tree.children(target).expect("interior target has children");
         let sib = tree.sibling(target).expect("non-root node has a sibling");
-        let ancestor = tree.parent(parent);
-        let upper = ancestor.map(|a| tree.time(a));
-
-        let heads = [c1, c2, sib];
+        let upper = tree.parent(parent).map(|ancestor| tree.time(ancestor));
         let head_times = [tree.time(c1), tree.time(c2), tree.time(sib)];
+        let mut segments = self.build_segments(tree, target, parent, &head_times, upper);
+        self.weigh_segments(&mut segments);
+        NeighbourhoodPlan {
+            window: Some(Window {
+                target,
+                parent,
+                heads: [c1, c2, sib],
+                head_times,
+                upper,
+                segments,
+            }),
+        }
+    }
 
-        let segments = self.build_segments(tree, target, parent, &head_times, upper);
-        let (u1, u2) = self.sample_event_times(rng, &segments, &head_times, upper);
+    /// Draw one proposal from `plan`, which must have been built from `tree`:
+    /// the forward pass over the planned weights, event placement within the
+    /// chosen intervals and the topology pick — the only steps that consume
+    /// `rng`. Returns the proposed tree and its edited node set, exactly as
+    /// [`GenealogyProposer::propose_with_edit`] does.
+    pub fn draw<R: Rng + ?Sized>(
+        &self,
+        plan: &NeighbourhoodPlan,
+        tree: &GeneTree,
+        rng: &mut R,
+    ) -> (GeneTree, Vec<NodeId>) {
+        let mut out = tree.clone();
+        let Some(window) = &plan.window else {
+            // Two-tip degenerate case (or an explicit root target): re-draw
+            // the root time from the prior conditional on its children.
+            self.redraw_root_time(&mut out, rng);
+            return (out, vec![tree.root()]);
+        };
+        let Window { target, parent, heads, head_times, .. } = *window;
+        debug_assert_eq!(tree.parent(target), Some(parent), "plan built from another tree");
+        let (u1, u2) = self.sample_event_times(rng, window);
 
         // Topology: the first event merges a uniformly chosen pair among the
         // heads available at u1; the second merges the result with the rest.
@@ -241,6 +316,10 @@ impl GenealogyProposer {
         boundaries.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         boundaries.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
 
+        // Each segment's inactive count is read at its midpoint (the tail's
+        // one unit above its start); those times increase along the window,
+        // so one sweep over the sorted edge endpoints answers every query.
+        let mut inactive = InactiveSweep::new(tree, target, parent);
         let mut segments = Vec::with_capacity(boundaries.len());
         for w in boundaries.windows(2) {
             let (start, end) = (w[0], w[1]);
@@ -253,8 +332,9 @@ impl GenealogyProposer {
                 start,
                 length,
                 heads_available: head_times.iter().filter(|&&t| t <= start + 1e-15).count(),
-                inactive: self.inactive_lineages_at(tree, target, parent, mid),
+                inactive: inactive.at(mid),
                 unbounded: false,
+                forward: [[0.0; 3]; 2],
             });
         }
         // Unbounded tail above the last boundary when there is no ancestor.
@@ -264,37 +344,46 @@ impl GenealogyProposer {
                 start,
                 length: f64::INFINITY,
                 heads_available: 3,
-                inactive: self.inactive_lineages_at(tree, target, parent, start + 1.0),
+                inactive: inactive.at(start + 1.0),
                 unbounded: true,
+                forward: [[0.0; 3]; 2],
             });
         }
         segments
     }
 
-    /// Number of inactive (fixed) lineages crossing time `t`: edges of the
-    /// tree minus the dissolved neighborhood whose child is at or below `t`
-    /// and whose parent is above `t`.
-    fn inactive_lineages_at(
-        &self,
-        tree: &GeneTree,
-        target: NodeId,
-        parent: NodeId,
-        t: f64,
-    ) -> usize {
-        let mut count = 0;
-        for node in 0..tree.n_nodes() {
-            if node == target || node == parent {
-                continue;
+    /// The backward pass: `β[s][c]`, the weight of finishing with exactly two
+    /// coalescences from the start of segment `s` given `c` already done.
+    /// Each term `S·β[s+1][c+d]` of the recurrence is also the forward weight
+    /// of `d` events in segment `s`, so it is stored for the draws.
+    fn weigh_segments(&self, segments: &mut [Segment]) {
+        let mut next = [0.0, 0.0, 1.0];
+        for seg in segments.iter_mut().rev() {
+            let mut beta = [0.0f64; 3];
+            for (c, beta_c) in beta.iter_mut().enumerate() {
+                let a = seg.heads_available.saturating_sub(c);
+                if a == 0 {
+                    continue;
+                }
+                if seg.unbounded {
+                    // Everything that can still coalesce will; weight 1 when
+                    // the remaining events are feasible (a − (2 − c) ≥ 1).
+                    *beta_c = if seg.heads_available >= 3 || c == 2 { 1.0 } else { 0.0 };
+                    continue;
+                }
+                let mut w = 0.0;
+                let max_d = (2 - c).min(a.saturating_sub(1));
+                for d in 0..=max_d {
+                    let term = self.transfer(a, d, seg.inactive, seg.length) * next[c + d];
+                    if c < 2 {
+                        seg.forward[c][d] = term;
+                    }
+                    w += term;
+                }
+                *beta_c = w;
             }
-            let Some(p) = tree.parent(node) else { continue };
-            if p == target || p == parent {
-                continue; // this is an active head's (removed) parent edge
-            }
-            if tree.time(node) <= t && t < tree.time(p) {
-                count += 1;
-            }
+            next = beta;
         }
-        count
     }
 
     /// Survival (tilt) rate μ_a for `a` active and `m` inactive lineages.
@@ -359,46 +448,12 @@ impl GenealogyProposer {
     }
 
     /// Sample the two absolute coalescence times (younger, older) for the
-    /// active lineages.
-    fn sample_event_times<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        segments: &[Segment],
-        head_times: &[f64; 3],
-        upper: Option<f64>,
-    ) -> (f64, f64) {
-        let n = segments.len();
-        // Backward weights: beta[s][c] = weight of finishing with exactly two
-        // coalescences from the start of segment s given c already done.
-        let mut beta = vec![[0.0f64; 3]; n + 1];
-        beta[n] = [0.0, 0.0, 1.0];
-        for s in (0..n).rev() {
-            let seg = &segments[s];
-            for c in 0..=2usize {
-                let a = seg.heads_available.saturating_sub(c);
-                if a == 0 {
-                    beta[s][c] = 0.0;
-                    continue;
-                }
-                if seg.unbounded {
-                    // Everything that can still coalesce will; weight 1 when
-                    // the remaining events are feasible (a − (2 − c) ≥ 1).
-                    beta[s][c] = if seg.heads_available >= 3 || c == 2 { 1.0 } else { 0.0 };
-                    continue;
-                }
-                let mut w = 0.0;
-                let max_d = (2 - c).min(a.saturating_sub(1));
-                for d in 0..=max_d {
-                    w += self.transfer(a, d, seg.inactive, seg.length) * beta[s + 1][c + d];
-                }
-                beta[s][c] = w;
-            }
-        }
-
+    /// active lineages: the forward pass over the planned weights.
+    fn sample_event_times<R: Rng + ?Sized>(&self, rng: &mut R, window: &Window) -> (f64, f64) {
         // Forward sampling of per-segment event counts and times.
         let mut times: Vec<f64> = Vec::with_capacity(2);
         let mut c = 0usize;
-        for (s, seg) in segments.iter().enumerate() {
+        for seg in &window.segments {
             if c == 2 {
                 break;
             }
@@ -420,11 +475,7 @@ impl GenealogyProposer {
                 break;
             }
             let max_d = (2 - c).min(a.saturating_sub(1));
-            let mut weights = Vec::with_capacity(max_d + 1);
-            for d in 0..=max_d {
-                weights.push(self.transfer(a, d, seg.inactive, seg.length) * beta[s + 1][c + d]);
-            }
-            let d = mcmc::rng::dist::categorical(rng, &weights).unwrap_or(0);
+            let d = mcmc::rng::dist::categorical(rng, &seg.forward[c][..=max_d]).unwrap_or(0);
             match d {
                 0 => {}
                 1 => {
@@ -445,13 +496,14 @@ impl GenealogyProposer {
             // is extremely long relative to θ can drive every transfer weight
             // to zero): fall back to legal, deterministic placements near the
             // top of the window so the proposal is still a valid genealogy.
+            let head_times = &window.head_times;
             let max_head = head_times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mid_head = {
                 let mut sorted = *head_times;
                 sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 sorted[1]
             };
-            let ceiling = upper.unwrap_or(max_head + self.theta);
+            let ceiling = window.upper.unwrap_or(max_head + self.theta);
             if times.is_empty() {
                 times.push(mid_head + 0.25 * (ceiling - mid_head).max(1e-9));
             }
@@ -517,6 +569,51 @@ fn tilted_uniform<R: Rng + ?Sized>(rng: &mut R, rate: f64, len: f64) -> f64 {
     t.clamp(0.0, len)
 }
 
+/// Inactive (fixed) lineages crossing a time `t`: the edges of the tree
+/// other than those touching the dissolved target and parent, whose child
+/// is at or below `t` and whose parent is above `t`. Answers queries at
+/// non-decreasing times in one sweep over the sorted edge endpoints — since
+/// no child is older than its parent, the count is
+/// `#{child ≤ t} − #{parent ≤ t}`.
+struct InactiveSweep {
+    births: Vec<f64>,
+    deaths: Vec<f64>,
+    born: usize,
+    died: usize,
+}
+
+impl InactiveSweep {
+    fn new(tree: &GeneTree, target: NodeId, parent: NodeId) -> Self {
+        let mut births = Vec::with_capacity(tree.n_nodes());
+        let mut deaths = Vec::with_capacity(tree.n_nodes());
+        for node in 0..tree.n_nodes() {
+            if node == target || node == parent {
+                continue;
+            }
+            let Some(p) = tree.parent(node) else { continue };
+            if p == target || p == parent {
+                continue; // this is an active head's (removed) parent edge
+            }
+            births.push(tree.time(node));
+            deaths.push(tree.time(p));
+        }
+        births.sort_unstable_by(f64::total_cmp);
+        deaths.sort_unstable_by(f64::total_cmp);
+        InactiveSweep { births, deaths, born: 0, died: 0 }
+    }
+
+    /// The count at `t`, which must not be below any earlier query.
+    fn at(&mut self, t: f64) -> usize {
+        while self.births.get(self.born).is_some_and(|&b| b <= t) {
+            self.born += 1;
+        }
+        while self.deaths.get(self.died).is_some_and(|&d| d <= t) {
+            self.died += 1;
+        }
+        self.born - self.died
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,6 +622,102 @@ mod tests {
 
     fn random_tree(rng: &mut Mt19937, n: usize, theta: f64) -> GeneTree {
         CoalescentSimulator::constant(theta).unwrap().simulate(rng, n).unwrap()
+    }
+
+    /// The direct O(n) count the one-sweep [`InactiveSweep`] replaces:
+    /// inactive edges whose child is at or below `t` and whose parent is
+    /// above it.
+    fn inactive_lineages_at(tree: &GeneTree, target: NodeId, parent: NodeId, t: f64) -> usize {
+        let mut count = 0;
+        for node in 0..tree.n_nodes() {
+            if node == target || node == parent {
+                continue;
+            }
+            let Some(p) = tree.parent(node) else { continue };
+            if p == target || p == parent {
+                continue;
+            }
+            if tree.time(node) <= t && t < tree.time(p) {
+                count += 1;
+            }
+        }
+        count
+    }
+
+    /// Check every segment of every eligible target's plan against the
+    /// direct count, at the time the plan reads it. Returns how many
+    /// unbounded tails were checked.
+    fn check_inactive_counts(proposer: &GenealogyProposer, tree: &GeneTree) -> usize {
+        let mut tails = 0;
+        for target in tree.non_root_internal_nodes() {
+            let plan = proposer.plan(tree, target);
+            let window = plan.window.as_ref().expect("interior targets plan a window");
+            for seg in &window.segments {
+                let t = if seg.unbounded { seg.start + 1.0 } else { seg.start + 0.5 * seg.length };
+                let direct = inactive_lineages_at(tree, target, window.parent, t);
+                assert_eq!(seg.inactive, direct, "target {target}, segment at {}", seg.start);
+                tails += seg.unbounded as usize;
+            }
+        }
+        tails
+    }
+
+    #[test]
+    fn one_sweep_inactive_counts_match_the_direct_scan() {
+        let proposer = GenealogyProposer::new(1.0).unwrap();
+        let mut rng = Mt19937::new(43);
+        let mut tails = 0;
+        for n in [3usize, 4, 5, 8, 12, 17, 24, 33, 48, 64, 96] {
+            for theta in [0.1, 1.0, 5.0] {
+                tails += check_inactive_counts(&proposer, &random_tree(&mut rng, n, theta));
+            }
+        }
+        assert!(tails > 0, "no root-parent target exercised the unbounded tail");
+
+        // UPGMA joins identical sequences at exactly t = 0: tied heights
+        // make boundaries coincide and zero-length edges cross no interval.
+        let alignment = phylo::Alignment::from_letters(&[
+            ("a", "ACGTACGTAC"),
+            ("b", "ACGTACGTAC"),
+            ("c", "ACGAACGTTC"),
+            ("d", "TCGAACCTTC"),
+            ("e", "ACGTACGTAC"),
+            ("f", "GCGAACGTTA"),
+        ])
+        .unwrap();
+        let tree = phylo::upgma_tree(&alignment, 1.0).unwrap();
+        let zero_height = tree.non_root_internal_nodes().iter().any(|&v| tree.time(v) == 0.0);
+        assert!(zero_height, "identical sequences should give a zero-height node");
+        assert!(check_inactive_counts(&proposer, &tree) > 0);
+    }
+
+    #[test]
+    fn one_plan_serves_every_stream_like_fresh_proposals() {
+        // The multi-proposal sampler plans once per iteration and draws all
+        // of its proposals from that plan, one stream each; that must give
+        // exactly the trees that planning afresh per proposal gives.
+        let mut rng = Mt19937::new(47);
+        let streams = mcmc::rng::StreamBank::new(0x5EED, 32);
+        for (n, theta) in [(2usize, 1.0), (6, 0.5), (12, 1.0), (48, 2.0)] {
+            let proposer = GenealogyProposer::new(theta).unwrap();
+            let tree = random_tree(&mut rng, n, 1.0);
+            for epoch in 0..4u64 {
+                let target = proposer.sample_target(&tree, &mut rng);
+                let plan = proposer.plan(&tree, target);
+                for slot in 0..32 {
+                    let mut shared = streams.detached(epoch, slot);
+                    let mut fresh = streams.detached(epoch, slot);
+                    let (a, edit_a) = proposer.draw(&plan, &tree, &mut shared);
+                    let (b, edit_b) = proposer.propose_with_edit(&tree, target, &mut fresh);
+                    assert_eq!(edit_a, edit_b);
+                    assert_eq!(shared.position(), fresh.position());
+                    for node in 0..tree.n_nodes() {
+                        assert_eq!(a.time(node).to_bits(), b.time(node).to_bits());
+                        assert_eq!(a.children(node), b.children(node));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,7 @@
 use rand::Rng;
 
 use crate::chain::Trace;
-use crate::logdomain::log_sum_exp;
-use crate::rng::dist::log_categorical;
+use crate::rng::dist::LogCategoricalTable;
 
 /// Generates a set of candidate states from the current generator state.
 pub trait MultiProposal<S, R: Rng + ?Sized> {
@@ -150,7 +149,7 @@ impl<P, W> GeneralizedMetropolisHastings<P, W> {
             log_weights.push(self.weight.log_weight(&generator));
 
             // Guard against a fully degenerate set: stay at the generator.
-            let usable = log_sum_exp(&log_weights).is_finite();
+            let table = LogCategoricalTable::new(&log_weights);
 
             // Steps 6-8: draw M index samples.
             let mut last_index = generator_index;
@@ -158,11 +157,7 @@ impl<P, W> GeneralizedMetropolisHastings<P, W> {
                 if draws_done >= total_draws {
                     break;
                 }
-                let idx = if usable {
-                    log_categorical(rng, &log_weights).unwrap_or(generator_index)
-                } else {
-                    generator_index
-                };
+                let idx = table.as_ref().and_then(|t| t.sample(rng)).unwrap_or(generator_index);
                 if idx != generator_index {
                     moved += 1;
                 }

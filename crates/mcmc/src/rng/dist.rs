@@ -75,31 +75,60 @@ pub fn categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usiz
 /// This is the sampling step of the Generalized Metropolis–Hastings index
 /// chain (Section 4.3): the weights are `log P(D|G̃_i)` values which may be
 /// hundreds of log-units below zero, so normalisation must happen in log
-/// space (Section 5.3).
+/// space (Section 5.3). Callers drawing repeatedly from the same weights
+/// should build one [`LogCategoricalTable`] and sample it instead.
 ///
 /// Returns `None` if no weight is finite.
 pub fn log_categorical<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) -> Option<usize> {
-    if log_weights.is_empty() {
-        return None;
-    }
-    let norm = log_sum_exp(log_weights);
-    if !norm.is_finite() {
-        return None;
-    }
-    let u: f64 = rng.gen();
-    let mut cum = 0.0f64;
-    let mut last_valid = None;
-    for (i, &lw) in log_weights.iter().enumerate() {
-        let p = (lw - norm).exp();
-        if p > 0.0 {
-            last_valid = Some(i);
+    LogCategoricalTable::new(log_weights)?.sample(rng)
+}
+
+/// A categorical distribution over log weights, normalised once for many
+/// draws: `norm = log_sum_exp(w)` and the running sums of `exp(w_i − norm)`
+/// in index order. Each draw is one uniform and a scan for the first
+/// running sum above it, so every draw consumes the RNG and returns exactly
+/// what [`log_categorical`] on the same weights would.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogCategoricalTable {
+    cumulative: Vec<f64>,
+    /// The last index with a positive probability: the answer when float
+    /// slack leaves the uniform above the final running sum.
+    last_valid: Option<usize>,
+}
+
+impl LogCategoricalTable {
+    /// Normalise `log_weights`; `None` if they are empty or none is finite
+    /// (or any is NaN or +∞).
+    pub fn new(log_weights: &[f64]) -> Option<Self> {
+        if log_weights.is_empty() {
+            return None;
         }
-        cum += p;
-        if u < cum {
-            return Some(i);
+        let norm = log_sum_exp(log_weights);
+        if !norm.is_finite() {
+            return None;
         }
+        let mut cum = 0.0f64;
+        let mut last_valid = None;
+        let cumulative = log_weights
+            .iter()
+            .enumerate()
+            .map(|(i, &lw)| {
+                let p = (lw - norm).exp();
+                if p > 0.0 {
+                    last_valid = Some(i);
+                }
+                cum += p;
+                cum
+            })
+            .collect();
+        Some(LogCategoricalTable { cumulative, last_valid })
     }
-    last_valid
+
+    /// Draw one index.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        let u: f64 = rng.gen();
+        self.cumulative.iter().position(|&cum| u < cum).or(self.last_valid)
+    }
 }
 
 /// Sample a binomial(n, p) by direct Bernoulli summation for small n and by
@@ -315,6 +344,98 @@ mod tests {
         let mut r = rng();
         assert_eq!(log_categorical(&mut r, &[f64::NEG_INFINITY, f64::NEG_INFINITY]), None);
         assert_eq!(log_categorical(&mut r, &[]), None);
+    }
+
+    /// The pre-table `log_categorical`, kept verbatim as the reference the
+    /// table must reproduce draw for draw.
+    fn log_categorical_direct<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) -> Option<usize> {
+        if log_weights.is_empty() {
+            return None;
+        }
+        let norm = log_sum_exp(log_weights);
+        if !norm.is_finite() {
+            return None;
+        }
+        let u: f64 = rng.gen();
+        let mut cum = 0.0f64;
+        let mut last_valid = None;
+        for (i, &lw) in log_weights.iter().enumerate() {
+            let p = (lw - norm).exp();
+            if p > 0.0 {
+                last_valid = Some(i);
+            }
+            cum += p;
+            if u < cum {
+                return Some(i);
+            }
+        }
+        last_valid
+    }
+
+    /// Draw `draws` indices from one table, from repeated `log_categorical`
+    /// calls and from the direct reference, on triplet generators: same
+    /// indices, same generator positions.
+    fn assert_table_matches_direct(seed: u32, log_weights: &[f64], draws: usize) {
+        let (mut a, mut b, mut c) = (Mt19937::new(seed), Mt19937::new(seed), Mt19937::new(seed));
+        let table = LogCategoricalTable::new(log_weights);
+        for k in 0..draws {
+            let want = log_categorical_direct(&mut c, log_weights);
+            assert_eq!(table.as_ref().and_then(|t| t.sample(&mut a)), want, "draw {k}");
+            assert_eq!(log_categorical(&mut b, log_weights), want, "draw {k}");
+        }
+        assert_eq!(a.position(), c.position(), "RNG consumption differs over {log_weights:?}");
+        assert_eq!(b.position(), c.position(), "RNG consumption differs over {log_weights:?}");
+    }
+
+    #[test]
+    fn table_draws_match_repeated_log_categorical_calls() {
+        let mut r = rng();
+        for case in 0..300u32 {
+            let n = 1 + uniform_index(&mut r, 40);
+            let spread = [1.0, 50.0, 800.0][case as usize % 3];
+            let mut lw: Vec<f64> =
+                (0..n).map(|_| -spread * r.gen::<f64>() - 1_000.0 * (case % 2) as f64).collect();
+            // Knock out some entries: weight zero in the linear domain.
+            for w in lw.iter_mut() {
+                if r.gen::<f64>() < 0.2 {
+                    *w = f64::NEG_INFINITY;
+                }
+            }
+            assert_table_matches_direct(case, &lw, 32);
+        }
+        // Degenerate and edge inputs.
+        assert_eq!(LogCategoricalTable::new(&[]), None);
+        assert_eq!(LogCategoricalTable::new(&[f64::NEG_INFINITY, f64::NEG_INFINITY]), None);
+        assert_eq!(LogCategoricalTable::new(&[f64::NAN, 0.0]), None);
+        assert_eq!(LogCategoricalTable::new(&[f64::INFINITY, 0.0]), None);
+        assert_table_matches_direct(1, &[f64::NEG_INFINITY, f64::NEG_INFINITY], 8);
+        assert_table_matches_direct(2, &[-3.5], 8);
+        assert_table_matches_direct(3, &[f64::NEG_INFINITY, -700.0, f64::NEG_INFINITY], 8);
+        let single = LogCategoricalTable::new(&[-3.5]).unwrap();
+        assert_eq!(single.sample(&mut rng()), Some(0));
+    }
+
+    #[test]
+    fn table_falls_back_to_the_last_valid_index_on_float_slack() {
+        // A uniform at or above the final running sum (which float rounding
+        // can leave just below 1) selects the last positive-weight index,
+        // skipping trailing zero-probability entries.
+        let table = LogCategoricalTable::new(&[0.0, 0.0, f64::NEG_INFINITY]).unwrap();
+        assert_eq!(table.last_valid, Some(1));
+        let slack = LogCategoricalTable { cumulative: vec![0.3, 0.6, 0.6], last_valid: Some(1) };
+        let mut r = rng();
+        let mut fell_back = 0;
+        for _ in 0..200 {
+            let mut probe = r.clone();
+            let u: f64 = probe.gen();
+            let got = slack.sample(&mut r);
+            assert_eq!(r.position(), probe.position());
+            if u >= 0.6 {
+                assert_eq!(got, Some(1));
+                fell_back += 1;
+            }
+        }
+        assert!(fell_back > 0, "no uniform landed in the slack");
     }
 
     #[test]

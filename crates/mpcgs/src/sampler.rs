@@ -11,13 +11,18 @@
 //!    logical thread per proposal, each with its own decorrelated RNG stream
 //!    (the MTGP32 substitute). Because every proposal differs from every
 //!    other only inside the φ-neighborhood, all members of the set can
-//!    mutually propose one another — the property Section 4.3 needs.
+//!    mutually propose one another — the property Section 4.3 needs. The
+//!    deterministic part of the resimulation (feasible intervals and their
+//!    weights, [`lamarc::proposal::NeighbourhoodPlan`]) is the same for all
+//!    `N`, so the host plans it once and every thread only draws from it.
 //! 3. The *data likelihood kernel*: `ln P(D|G̃_i)` is evaluated for every
 //!    member of the set (site-parallel inside the engine, proposal-parallel
 //!    across the set).
 //! 4. The index chain is sampled `M` times from the stationary weights
-//!    `w_i ∝ P(D|G̃_i)` (Eq. 31) using a log-domain categorical draw; each
-//!    draw is an output sample, stored as its coalescent-interval summary.
+//!    `w_i ∝ P(D|G̃_i)` (Eq. 31) using a log-domain categorical draw from
+//!    one table normalised per iteration; each draw is an output sample,
+//!    stored as its coalescent-interval summary, computed once per distinct
+//!    index drawn.
 //! 5. The last drawn state becomes the generator for the next iteration —
 //!    and is *committed* into the likelihood engine's cached workspace along
 //!    its dirty path, so a moved generator costs O(path) instead of a full
@@ -29,8 +34,7 @@
 
 use exec::Backend;
 use mcmc::chain::Trace;
-use mcmc::logdomain::log_sum_exp;
-use mcmc::rng::dist::log_categorical;
+use mcmc::rng::dist::LogCategoricalTable;
 use mcmc::rng::StreamBank;
 use rand::RngCore;
 
@@ -41,7 +45,7 @@ use lamarc::run::{
 use lamarc::sampler::GenealogySample;
 use lamarc::target::GenealogyTarget;
 use phylo::likelihood::{LikelihoodEngine, TreeProposal};
-use phylo::{GeneTree, NodeId, PhyloError};
+use phylo::{CoalescentIntervals, GeneTree, NodeId, PhyloError};
 
 use crate::config::MpcgsConfig;
 
@@ -137,16 +141,19 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
         // Step 1: the auxiliary variable φ (host RNG).
         let phi = self.proposer.sample_target(&chain.generator, rng);
 
-        // Step 2: the proposal kernel. One logical thread per proposal; each
-        // thread owns a detached RNG stream and reports the edited
-        // φ-neighborhood alongside the proposed tree.
+        // Step 2: the proposal kernel. The φ-neighborhood's plan is built
+        // once; then one logical thread per proposal draws from it with its
+        // own detached RNG stream and reports the edited φ-neighborhood
+        // alongside the proposed tree.
+        let plan = self.proposer.plan(&chain.generator, phi);
         let set: Vec<(GeneTree, Vec<NodeId>)> = {
             let generator_ref = &chain.generator;
             let proposer = &self.proposer;
+            let plan = &plan;
             let streams = &self.streams;
             backend.map_indexed(n_proposals, move |slot| {
                 let mut stream = streams.detached(epoch, slot);
-                proposer.propose_with_edit(generator_ref, phi, &mut stream)
+                proposer.draw(plan, generator_ref, &mut stream)
             })
         };
 
@@ -179,20 +186,20 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
         let mut log_weights: Vec<f64> =
             eval.log_likelihoods.iter().map(|&loglik| beta * loglik).collect();
         log_weights.push(beta * generator_loglik);
-        let usable = log_sum_exp(&log_weights).is_finite();
+        // A fully degenerate set (no finite weight) has no table: every draw
+        // stays at the generator.
+        let table = LogCategoricalTable::new(&log_weights);
 
-        // Step 4: sample the index chain M times.
+        // Step 4: sample the index chain M times, summarising each distinct
+        // drawn genealogy once.
+        let mut summaries: Vec<Option<CoalescentIntervals>> = vec![None; log_weights.len()];
         let mut last_index = generator_index;
         let mut last_loglik = generator_loglik;
         for _ in 0..m_draws {
             if chain.draws_done >= total_draws {
                 break;
             }
-            let idx = if usable {
-                log_categorical(rng, &log_weights).unwrap_or(generator_index)
-            } else {
-                generator_index
-            };
+            let idx = table.as_ref().and_then(|t| t.sample(rng)).unwrap_or(generator_index);
             if idx != generator_index {
                 chain.counters.accepted += 1;
             }
@@ -204,7 +211,7 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
             chain.trace.push(loglik);
             if chain.draws_done >= self.config.burn_in_draws {
                 chain.samples.push(GenealogySample {
-                    intervals: tree.intervals(),
+                    intervals: *summaries[idx].get_or_insert_with(|| tree.intervals()),
                     log_data_likelihood: loglik,
                 });
             }
