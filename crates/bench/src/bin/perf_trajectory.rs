@@ -25,9 +25,14 @@
 //!   p50/p99 job latency for a flood of small complete estimation jobs,
 //!   serial pool vs threaded pool).
 //! * **proposal** — nanoseconds per neighborhood plan (RNG-free; grows
-//!   about linearly with tree size) and per draw from a plan (forward pass,
-//!   placement, rewiring of a cloned tree; about flat) at 12, 48 and 96
-//!   tips. Reported, not gated.
+//!   about linearly with tree size), per draw from a plan into a fresh
+//!   snapshot of the tree (forward pass, placement, rewiring, plus the
+//!   copy-on-write of the touched slabs), per draw into a warm reused
+//!   output tree (the samplers' proposal slots), and per detached proposal
+//!   stream seeded and advanced by the outputs one draw consumes (also
+//!   reported: the forward pass draws once per interval it crosses, so the
+//!   count grows with the window), at 12, 48 and 96 tips. Reported, not
+//!   gated.
 //!
 //! `--check-against <baseline.json>` compares the current run to a
 //! committed artefact and exits non-zero on a >15% regression
@@ -47,7 +52,7 @@ use codec::Json;
 use exec::Backend;
 use lamarc::GenealogyProposer;
 use mcmc::diagnostics::effective_sample_size;
-use mcmc::rng::Mt19937;
+use mcmc::rng::{Mt19937, StreamBank};
 use mpcgs::{MpcgsConfig, SamplerStrategy, Session};
 use phylo::likelihood::{host_cpu_features, LikelihoodEngine};
 use phylo::model::F81;
@@ -532,17 +537,56 @@ fn proposal_section(opts: &Opts) -> Json {
         });
         let draw_s = min_seconds_of(rounds, || {
             for plan in &plans {
-                std::hint::black_box(proposer.draw(plan, &tree, &mut rng));
+                let mut out = tree.clone();
+                let mut edited = Vec::new();
+                proposer.draw_into(plan, &tree, &mut rng, &mut out, &mut edited);
+                std::hint::black_box((out, edited));
             }
         });
-        let (plan_ns, draw_ns) = (plan_s / reps as f64 * 1e9, draw_s / reps as f64 * 1e9);
-        println!("proposal ({tips} tips): plan {plan_ns:.0} ns, draw {draw_ns:.0} ns");
+        let (mut slot, mut slot_edit) = (tree.clone(), Vec::new());
+        let draw_into_s = min_seconds_of(rounds, || {
+            for plan in &plans {
+                proposer.draw_into(plan, &tree, &mut rng, &mut slot, &mut slot_edit);
+                std::hint::black_box((&slot, &slot_edit));
+            }
+        });
+        // The raw outputs each planned draw consumes from its own detached
+        // stream, as the multi-proposal sampler draws them.
+        let streams = StreamBank::new(tips as u64, 1);
+        let consumed: Vec<u64> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let mut stream = streams.detached(1, i);
+                proposer.draw_into(plan, &tree, &mut stream, &mut slot, &mut slot_edit);
+                stream.position()
+            })
+            .collect();
+        let stream_s = min_seconds_of(rounds, || {
+            for (i, &outputs) in consumed.iter().enumerate() {
+                let mut stream = streams.detached(1, i);
+                stream.discard(outputs);
+                std::hint::black_box(&stream);
+            }
+        });
+        let outputs_per_draw = consumed.iter().sum::<u64>() as f64 / reps as f64;
+        let per_rep = |seconds: f64| seconds / reps as f64 * 1e9;
+        let (plan_ns, draw_ns) = (per_rep(plan_s), per_rep(draw_s));
+        let (draw_into_ns, stream_ns) = (per_rep(draw_into_s), per_rep(stream_s));
+        println!(
+            "proposal ({tips} tips): plan {plan_ns:.0} ns, draw {draw_ns:.0} ns, \
+             draw_into {draw_into_ns:.0} ns, stream {stream_ns:.0} ns \
+             ({outputs_per_draw:.1} outputs per draw)"
+        );
         rows.push((
             format!("tips_{tips}"),
             Json::Object(vec![
                 ("tips".to_string(), Json::Number(tips as f64)),
                 ("plan_ns".to_string(), Json::Number(plan_ns)),
                 ("draw_ns".to_string(), Json::Number(draw_ns)),
+                ("draw_into_ns".to_string(), Json::Number(draw_into_ns)),
+                ("stream_ns".to_string(), Json::Number(stream_ns)),
+                ("outputs_per_draw".to_string(), Json::Number(outputs_per_draw)),
             ]),
         ));
     }

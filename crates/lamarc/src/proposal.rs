@@ -28,12 +28,16 @@
 //! does steps 1–3's deterministic part once per generator and target: the
 //! feasible intervals, their inactive-lineage counts (one sweep over the
 //! sorted edge endpoints, so a plan costs O(n log n)), the backward `P_i(n)`
-//! pass and the forward weights it induces. [`GenealogyProposer::draw`] does
-//! everything that consumes the RNG: the forward categorical pass, event
-//! placement and the topology pick, then the rewiring of a cloned tree. The
-//! multi-proposal sampler plans once per iteration and draws its N proposals
-//! from the shared plan, each with its own stream; `propose_with_edit` is a
-//! plan followed by one draw, so both paths consume the RNG identically.
+//! pass and the forward weights it induces. [`GenealogyProposer::draw_into`]
+//! does everything that consumes the RNG: the forward categorical pass, event
+//! placement and the topology pick, then the rewiring of the output tree,
+//! which it first overwrites with the generator. The samplers keep their
+//! output trees (proposal slots) across iterations, so in steady state a
+//! draw copies the generator into storage it already owns and allocates
+//! nothing. The multi-proposal sampler plans once per iteration and draws
+//! its N proposals from the shared plan, each with its own stream;
+//! `propose_with_edit` is a plan followed by one draw into a fresh
+//! snapshot, so both paths consume the RNG identically.
 //!
 //! Because the proposal density is exactly proportional to the coalescent
 //! prior `P(G|θ)` restricted to the neighborhood, the Hastings ratio of the
@@ -86,7 +90,7 @@ pub struct GenealogyProposer {
 /// The RNG-free half of a neighborhood resimulation (steps 1–3 of the module
 /// docs) for one generator tree and one target: built once by
 /// [`GenealogyProposer::plan`], then drawn from any number of times by
-/// [`GenealogyProposer::draw`], each draw with its own random stream.
+/// [`GenealogyProposer::draw_into`], each draw with its own random stream.
 #[derive(Debug, Clone)]
 pub struct NeighbourhoodPlan {
     /// `None` when the target is the root or a tip (the two-tip degenerate
@@ -185,15 +189,19 @@ impl GenealogyProposer {
     /// (`phylo::LikelihoodEngine::log_likelihood_batch`).
     ///
     /// One [`GenealogyProposer::plan`] followed by one
-    /// [`GenealogyProposer::draw`]; callers proposing many times from the
-    /// same tree and target should plan once and draw repeatedly.
+    /// [`GenealogyProposer::draw_into`] a fresh snapshot of `tree`; callers
+    /// proposing many times from the same tree and target should plan once
+    /// and draw repeatedly into reused trees.
     pub fn propose_with_edit<R: Rng + ?Sized>(
         &self,
         tree: &GeneTree,
         target: NodeId,
         rng: &mut R,
     ) -> (GeneTree, Vec<NodeId>) {
-        self.draw(&self.plan(tree, target), tree, rng)
+        let mut out = tree.clone();
+        let mut edited = Vec::with_capacity(2);
+        self.draw_into(&self.plan(tree, target), tree, rng, &mut out, &mut edited);
+        (out, edited)
     }
 
     /// Build the deterministic part of resimulating `target`'s neighborhood
@@ -223,23 +231,29 @@ impl GenealogyProposer {
         }
     }
 
-    /// Draw one proposal from `plan`, which must have been built from `tree`:
-    /// the forward pass over the planned weights, event placement within the
-    /// chosen intervals and the topology pick — the only steps that consume
-    /// `rng`. Returns the proposed tree and its edited node set, exactly as
-    /// [`GenealogyProposer::propose_with_edit`] does.
-    pub fn draw<R: Rng + ?Sized>(
+    /// Draw one proposal from `plan`, which must have been built from `tree`,
+    /// into `out`, and its edited node set into `edited`: the forward pass
+    /// over the planned weights, event placement within the chosen intervals
+    /// and the topology pick — the only steps that consume `rng`. `out` is
+    /// first overwritten with `tree` by `clone_from`, so a reused `out` of
+    /// the same shape takes the proposal in its own storage, and the draw
+    /// allocates nothing.
+    pub fn draw_into<R: Rng + ?Sized>(
         &self,
         plan: &NeighbourhoodPlan,
         tree: &GeneTree,
         rng: &mut R,
-    ) -> (GeneTree, Vec<NodeId>) {
-        let mut out = tree.clone();
+        out: &mut GeneTree,
+        edited: &mut Vec<NodeId>,
+    ) {
+        out.clone_from(tree);
+        edited.clear();
         let Some(window) = &plan.window else {
             // Two-tip degenerate case (or an explicit root target): re-draw
             // the root time from the prior conditional on its children.
-            self.redraw_root_time(&mut out, rng);
-            return (out, vec![tree.root()]);
+            self.redraw_root_time(out, rng);
+            edited.push(tree.root());
+            return;
         };
         let Window { target, parent, heads, head_times, .. } = *window;
         debug_assert_eq!(tree.parent(target), Some(parent), "plan built from another tree");
@@ -247,11 +261,23 @@ impl GenealogyProposer {
 
         // Topology: the first event merges a uniformly chosen pair among the
         // heads available at u1; the second merges the result with the rest.
-        let available: Vec<usize> = (0..3).filter(|&i| head_times[i] <= u1 + 1e-15).collect();
-        debug_assert!(available.len() >= 2, "first event requires two available heads");
-        let pick = mcmc::rng::dist::sample_without_replacement(rng, available.len(), 2);
-        let first_a = heads[available[pick[0]]];
-        let first_b = heads[available[pick[1]]];
+        // The pair is the first two of a partial Fisher–Yates shuffle, the
+        // same `gen_range` calls `dist::sample_without_replacement` makes.
+        let mut available = [0usize; 3];
+        let mut n_available = 0;
+        for (i, &t) in head_times.iter().enumerate() {
+            if t <= u1 + 1e-15 {
+                available[n_available] = i;
+                n_available += 1;
+            }
+        }
+        debug_assert!(n_available >= 2, "first event requires two available heads");
+        for i in 0..2 {
+            let j = rng.gen_range(i..n_available);
+            available.swap(i, j);
+        }
+        let first_a = heads[available[0]];
+        let first_b = heads[available[1]];
         let third = heads
             .iter()
             .copied()
@@ -266,7 +292,7 @@ impl GenealogyProposer {
         // The parent's own parent (the ancestor) is untouched; if the parent
         // was the root it stays the root.
         debug_assert!(out.validate().is_ok(), "proposal produced an invalid tree");
-        (out, vec![target, parent])
+        edited.extend([target, parent]);
     }
 
     /// Degenerate proposal for two-tip trees: re-draw the root time from the
@@ -450,8 +476,9 @@ impl GenealogyProposer {
     /// Sample the two absolute coalescence times (younger, older) for the
     /// active lineages: the forward pass over the planned weights.
     fn sample_event_times<R: Rng + ?Sized>(&self, rng: &mut R, window: &Window) -> (f64, f64) {
-        // Forward sampling of per-segment event counts and times.
-        let mut times: Vec<f64> = Vec::with_capacity(2);
+        // Forward sampling of per-segment event counts and times; `c`
+        // counts the events placed so far, never more than two.
+        let mut times = [0.0f64; 2];
         let mut c = 0usize;
         for seg in &window.segments {
             if c == 2 {
@@ -468,7 +495,7 @@ impl GenealogyProposer {
                 while c < 2 {
                     let rate = self.nu(act).max(1e-300);
                     t += exponential(rng, rate);
-                    times.push(t);
+                    times[c] = t;
                     c += 1;
                     act -= 1;
                 }
@@ -480,18 +507,17 @@ impl GenealogyProposer {
                 0 => {}
                 1 => {
                     let u = self.place_single_event(rng, a, seg.inactive, seg.length);
-                    times.push(seg.start + u);
+                    times[c] = seg.start + u;
                     c += 1;
                 }
                 _ => {
                     let (u1, u2) = self.place_double_event(rng, seg.inactive, seg.length);
-                    times.push(seg.start + u1);
-                    times.push(seg.start + u2);
+                    times = [seg.start + u1, seg.start + u2];
                     c += 2;
                 }
             }
         }
-        if times.len() < 2 {
+        if c < 2 {
             // Numerical underflow in the conditioning weights (a window that
             // is extremely long relative to θ can drive every transfer weight
             // to zero): fall back to legal, deterministic placements near the
@@ -504,12 +530,12 @@ impl GenealogyProposer {
                 sorted[1]
             };
             let ceiling = window.upper.unwrap_or(max_head + self.theta);
-            if times.is_empty() {
-                times.push(mid_head + 0.25 * (ceiling - mid_head).max(1e-9));
+            if c == 0 {
+                times[0] = mid_head + 0.25 * (ceiling - mid_head).max(1e-9);
             }
             let first = times[0].max(mid_head);
             times[0] = first;
-            times.push(first.max(max_head) + 0.25 * (ceiling - first.max(max_head)).max(1e-9));
+            times[1] = first.max(max_head) + 0.25 * (ceiling - first.max(max_head)).max(1e-9);
         }
         // Numerical guard: enforce strict ordering.
         let u1 = times[0];
@@ -701,15 +727,20 @@ mod tests {
         for (n, theta) in [(2usize, 1.0), (6, 0.5), (12, 1.0), (48, 2.0)] {
             let proposer = GenealogyProposer::new(theta).unwrap();
             let tree = random_tree(&mut rng, n, 1.0);
+            // One reused output tree for every draw, as the samplers keep
+            // their proposal slots; it starts as an unrelated tree.
+            let mut a = random_tree(&mut rng, n, 1.0);
+            let mut edit_a = Vec::new();
             for epoch in 0..4u64 {
                 let target = proposer.sample_target(&tree, &mut rng);
                 let plan = proposer.plan(&tree, target);
                 for slot in 0..32 {
                     let mut shared = streams.detached(epoch, slot);
                     let mut fresh = streams.detached(epoch, slot);
-                    let (a, edit_a) = proposer.draw(&plan, &tree, &mut shared);
+                    proposer.draw_into(&plan, &tree, &mut shared, &mut a, &mut edit_a);
                     let (b, edit_b) = proposer.propose_with_edit(&tree, target, &mut fresh);
                     assert_eq!(edit_a, edit_b);
+                    assert_eq!(a, b);
                     assert_eq!(shared.position(), fresh.position());
                     for node in 0..tree.n_nodes() {
                         assert_eq!(a.time(node).to_bits(), b.time(node).to_bits());

@@ -14,7 +14,10 @@
 //! [`RunReport`]. Accepted moves are *committed* into the likelihood engine's
 //! cached generator workspace (promoting the accepted proposal's dirty path
 //! instead of repaying a full re-prune), so accepted and rejected transitions
-//! alike cost O(path-to-root) node recomputations.
+//! alike cost O(path-to-root) node recomputations. The proposal is drawn
+//! into one scratch *slot* kept across transitions, and an accepted slot is
+//! swapped with the current state, so a steady-state transition allocates
+//! no tree storage.
 
 use exec::Backend;
 use mcmc::chain::Trace;
@@ -22,7 +25,7 @@ use rand::{Rng, RngCore};
 
 use phylo::likelihood::{LikelihoodEngine, TreeProposal};
 use phylo::tree::CoalescentIntervals;
-use phylo::{GeneTree, PhyloError};
+use phylo::{GeneTree, NodeId, PhyloError};
 
 use crate::proposal::{GenealogyProposer, ProposalConfig};
 use crate::run::{
@@ -95,6 +98,11 @@ pub struct LamarcSampler<E> {
     proposer: GenealogyProposer,
     config: SamplerConfig,
     chain: Option<BaselineChain>,
+    /// The proposal slot kept across transitions: the tree the proposal is
+    /// drawn into and its edited node set. Scratch, not chain state (a clone
+    /// of the sampler shares a snapshot of it, which either side's next
+    /// draw replaces).
+    slot: Option<(GeneTree, Vec<NodeId>)>,
 }
 
 impl<E: LikelihoodEngine> LamarcSampler<E> {
@@ -102,7 +110,7 @@ impl<E: LikelihoodEngine> LamarcSampler<E> {
     pub fn new(engine: E, config: SamplerConfig) -> Result<Self, PhyloError> {
         let target = GenealogyTarget::new(engine, config.theta)?;
         let proposer = GenealogyProposer::with_config(config.theta, config.proposal)?;
-        Ok(LamarcSampler { target, proposer, config, chain: None })
+        Ok(LamarcSampler { target, proposer, config, chain: None, slot: None })
     }
 
     /// Temper the sampler's target with inverse temperature `beta` (β = 1/T):
@@ -132,7 +140,10 @@ impl<E: LikelihoodEngine> LamarcSampler<E> {
         // cache misses on the new tree), so the override expires here.
         chain.swapped_loglik = None;
         let target_node = self.proposer.sample_target(&chain.current, rng);
-        let (proposal, edited) = self.proposer.propose_with_edit(&chain.current, target_node, rng);
+        let plan = self.proposer.plan(&chain.current, target_node);
+        let (proposal, edited) =
+            self.slot.get_or_insert_with(|| (chain.current.clone(), Vec::with_capacity(2)));
+        self.proposer.draw_into(&plan, &chain.current, rng, proposal, edited);
         // Score the proposal through the batched engine: the generator's
         // partials are cached inside the engine across transitions, so a
         // proposal costs one dirty path (O(log n) nodes) instead of a full
@@ -141,7 +152,7 @@ impl<E: LikelihoodEngine> LamarcSampler<E> {
         let eval = self.target.log_data_likelihood_batch(
             Backend::Serial,
             &chain.current,
-            &[TreeProposal { tree: &proposal, edited: &edited }],
+            &[TreeProposal { tree: proposal, edited }],
         )?;
         let mut current_loglik = eval.generator_log_likelihood;
         let proposal_loglik = eval.log_likelihoods[0];
@@ -162,12 +173,13 @@ impl<E: LikelihoodEngine> LamarcSampler<E> {
             // into the cached generator workspace so the next transition's
             // generator is a cache hit instead of a full re-prune.
             if let Some(nodes) =
-                self.target.engine().commit_accepted(&chain.current, &proposal, &edited)?
+                self.target.engine().commit_accepted(&chain.current, proposal, edited)?
             {
                 chain.counters.workspace_commits += 1;
                 chain.counters.nodes_committed += nodes;
             }
-            chain.current = proposal;
+            // The old state's storage is the slot's next scratch tree.
+            std::mem::swap(&mut chain.current, proposal);
             current_loglik = proposal_loglik;
             chain.counters.accepted += 1;
         }
@@ -476,6 +488,67 @@ mod tests {
         }
         let run_b = resumed.finish().unwrap();
         assert_eq!(run_a, run_b);
+    }
+
+    #[test]
+    fn steady_state_transitions_allocate_no_tree_storage() {
+        // The proposal is drawn into the kept slot and an accepted slot is
+        // swapped with the state, so once warm a transition neither
+        // allocates nor copy-on-write-clones a single slab.
+        let mut rng = Mt19937::new(61);
+        let alignment = simulated_data(&mut rng, 12, 80, 1.0);
+        let engine = FelsensteinPruner::new(&alignment, Jc69::new());
+        let config =
+            SamplerConfig { theta: 1.0, burn_in: 0, samples: 1_000, ..SamplerConfig::default() };
+        let mut sampler = LamarcSampler::new(engine, config).unwrap();
+        sampler.begin(upgma_tree(&alignment, 1.0).unwrap()).unwrap();
+        for _ in 0..20 {
+            sampler.step(&mut rng).unwrap();
+        }
+        let accepted = sampler.chain.as_ref().unwrap().counters.accepted;
+        let before = phylo::tables::cow_stats();
+        for _ in 0..200 {
+            sampler.step(&mut rng).unwrap();
+        }
+        let delta = phylo::tables::cow_stats().since(&before);
+        assert_eq!((delta.slab_allocs, delta.slab_cow_clones), (0, 0), "{delta:?}");
+        assert!(sampler.chain.as_ref().unwrap().counters.accepted > accepted + 10);
+    }
+
+    #[test]
+    fn a_sampler_with_a_used_slot_resumes_bit_identically() {
+        // The slot is scratch: it survives `begin` and `import_chain`, and
+        // whatever it holds must not leak into the resumed chain.
+        let mut rng = Mt19937::new(67);
+        let alignment = simulated_data(&mut rng, 8, 60, 1.0);
+        let engine = FelsensteinPruner::new(&alignment, Jc69::new());
+        let config =
+            SamplerConfig { theta: 1.0, burn_in: 20, samples: 80, ..SamplerConfig::default() };
+        let initial = upgma_tree(&alignment, 1.0).unwrap();
+
+        let mut uninterrupted = LamarcSampler::new(engine.clone(), config).unwrap();
+        let run_a = uninterrupted.run(initial.clone(), &mut Mt19937::new(3), &mut NullObserver);
+
+        let mut first_half = LamarcSampler::new(engine.clone(), config).unwrap();
+        let mut rng_b = Mt19937::new(3);
+        first_half.begin(initial.clone()).unwrap();
+        for _ in 0..45 {
+            first_half.step(&mut rng_b).unwrap();
+        }
+        let snapshot = first_half.export_chain().unwrap();
+
+        // `uninterrupted` has a used slot; so has its clone.
+        let mut used = uninterrupted.clone();
+        used.run(initial, &mut Mt19937::new(4), &mut NullObserver).unwrap();
+        for resumed in [&mut uninterrupted, &mut used] {
+            resumed.import_chain(snapshot.clone()).unwrap();
+            let mut rng_c = Mt19937::new(3);
+            rng_c.discard(rng_b.position());
+            while !resumed.is_done() {
+                resumed.step(&mut rng_c).unwrap();
+            }
+            assert_eq!(run_a.as_ref().unwrap(), &resumed.finish().unwrap());
+        }
     }
 
     #[test]

@@ -7,6 +7,19 @@
 //! that the generator is bit-compatible with the reference C implementation;
 //! the unit tests below check the first outputs against the published
 //! reference sequence for the standard test seed array.
+//!
+//! # Lazy first block
+//!
+//! Seeding by a 32-bit value is lazy. [`Mt19937::reseed`] stores only
+//! `state[0]`; the first block then initialises and twists entries on
+//! demand. Output `i < 624` twists entry `i` in place, which reads the
+//! initialised entries up to `i + 397`, so a stream that emits a handful of
+//! outputs runs about 400 steps of the seeding recurrence instead of 624 plus
+//! a whole 624-entry twist. In-order twisting reads exactly the values the
+//! eager block twist reads, so the outputs, [`Mt19937::position`],
+//! [`Mt19937::discard`] and `Clone` are bit-identical to eager seeding. Once
+//! the seeding recurrence is complete the rest of the first block is twisted
+//! at once, and every later block is the ordinary whole-block twist.
 
 use rand::{Error, RngCore, SeedableRng};
 
@@ -21,6 +34,12 @@ const LOWER_MASK: u32 = 0x7fff_ffff;
 pub struct Mt19937 {
     state: [u32; N],
     index: usize,
+    /// Entries of the current block that are twisted and may be emitted:
+    /// `N` except inside a lazily seeded first block.
+    ready: usize,
+    /// Entries of `state` that hold their seeding-recurrence value (or its
+    /// twist): `N` except inside a lazily seeded first block.
+    init_upto: usize,
     /// Raw 32-bit outputs emitted since the last (re)seed. Every consumer
     /// path (`next_f64`, `next_u64`, `fill_bytes`, …) funnels through
     /// [`Mt19937::next_u32_raw`], so this single counter is an exact stream
@@ -42,7 +61,7 @@ impl Mt19937 {
     /// Create a generator from a 32-bit seed using the reference
     /// `init_genrand` routine.
     pub fn new(seed: u32) -> Self {
-        let mut mt = Mt19937 { state: [0u32; N], index: N + 1, emitted: 0 };
+        let mut mt = Mt19937 { state: [0u32; N], index: 0, ready: 0, init_upto: 1, emitted: 0 };
         mt.reseed(seed);
         mt
     }
@@ -51,6 +70,8 @@ impl Mt19937 {
     /// `init_by_array` routine.
     pub fn from_seed_array(key: &[u32]) -> Self {
         let mut mt = Mt19937::new(19_650_218);
+        // The key mixing below reads the whole seeded state.
+        mt.init_through(N);
         let mut i: usize = 1;
         let mut j: usize = 0;
         let mut k = N.max(key.len());
@@ -84,21 +105,37 @@ impl Mt19937 {
         }
         mt.state[0] = 0x8000_0000;
         mt.index = N;
+        mt.ready = N;
         mt.emitted = 0;
         mt
     }
 
-    /// Re-seed the generator in place from a 32-bit seed.
+    /// Re-seed the generator in place from a 32-bit seed. Only `state[0]`
+    /// is written here; the rest of the seeding recurrence runs as the first
+    /// outputs need it, which emits exactly what eager seeding emits.
     pub fn reseed(&mut self, seed: u32) {
         self.state[0] = seed;
-        for i in 1..N {
-            // mpcgs-analyze: allow(r1, reason = "i ranges over 1..N, so i-1 is in bounds by loop construction (the MT19937 seeding recurrence)")
-            let prev = self.state[i - 1];
-            self.state[i] =
-                (1_812_433_253u32.wrapping_mul(prev ^ (prev >> 30))).wrapping_add(i as u32);
-        }
-        self.index = N;
+        self.init_upto = 1;
+        self.index = 0;
+        self.ready = 0;
         self.emitted = 0;
+    }
+
+    /// Run the seeding recurrence (`init_genrand`) up to entry `upto`
+    /// (exclusive). The loop runs over locals: re-reading `init_upto` on
+    /// every step roughly doubles its cost.
+    fn init_through(&mut self, upto: usize) {
+        let mut i = self.init_upto;
+        if i >= upto {
+            return;
+        }
+        let mut prev = self.state[i - 1];
+        while i < upto {
+            prev = (1_812_433_253u32.wrapping_mul(prev ^ (prev >> 30))).wrapping_add(i as u32);
+            self.state[i] = prev;
+            i += 1;
+        }
+        self.init_upto = i;
     }
 
     /// Number of raw 32-bit outputs emitted since the last (re)seed — the
@@ -118,21 +155,52 @@ impl Mt19937 {
 
     fn generate_block(&mut self) {
         for i in 0..N {
-            let y = (self.state[i] & UPPER_MASK) | (self.state[(i + 1) % N] & LOWER_MASK);
-            let mut next = self.state[(i + M) % N] ^ (y >> 1);
-            if y & 1 != 0 {
-                next ^= MATRIX_A;
-            }
-            self.state[i] = next;
+            self.twist(i);
         }
         self.index = 0;
+        self.ready = N;
+    }
+
+    /// Twist entry `i` in place (one step of the block recurrence).
+    #[inline]
+    fn twist(&mut self, i: usize) {
+        let y = (self.state[i] & UPPER_MASK) | (self.state[(i + 1) % N] & LOWER_MASK);
+        let mut next = self.state[(i + M) % N] ^ (y >> 1);
+        if y & 1 != 0 {
+            next ^= MATRIX_A;
+        }
+        self.state[i] = next;
+    }
+
+    /// Make entry `index` emittable: twist a whole new block, or inside a
+    /// lazily seeded first block, twist the next entry. In-order twisting
+    /// reads `state[i + 1]` and `state[i + M]` before they are twisted (or
+    /// `state[(i + M) % N]` after, once it wraps), exactly as the whole-block
+    /// twist does.
+    #[inline(never)]
+    fn refill(&mut self) {
+        let i = self.index;
+        if i >= N {
+            self.generate_block();
+            return;
+        }
+        self.init_through((i + M + 1).min(N));
+        if self.init_upto < N {
+            self.twist(i);
+            self.ready = i + 1;
+        } else {
+            for j in i..N {
+                self.twist(j);
+            }
+            self.ready = N;
+        }
     }
 
     /// Generate the next raw 32-bit output (`genrand_int32`).
     #[inline]
     pub fn next_u32_raw(&mut self) -> u32 {
-        if self.index >= N {
-            self.generate_block();
+        if self.index >= self.ready {
+            self.refill();
         }
         let mut y = self.state[self.index];
         self.index += 1;
@@ -326,6 +394,128 @@ mod tests {
         b.next_u32_raw();
         b.next_u32_raw();
         assert_eq!(a.next_u32_raw(), b.next_u32_raw());
+    }
+
+    /// Eager MT19937 as it was before lazy seeding: the whole seeding
+    /// recurrence, then whole-block twists. The reference for the lazy
+    /// first block.
+    fn eager_outputs(seed: u32, n: usize) -> Vec<u32> {
+        let mut state = [0u32; N];
+        state[0] = seed;
+        for i in 1..N {
+            let prev = state[i - 1];
+            state[i] = (1_812_433_253u32.wrapping_mul(prev ^ (prev >> 30))).wrapping_add(i as u32);
+        }
+        let mut index = N;
+        (0..n)
+            .map(|_| {
+                if index >= N {
+                    for i in 0..N {
+                        let y = (state[i] & UPPER_MASK) | (state[(i + 1) % N] & LOWER_MASK);
+                        let mut next = state[(i + M) % N] ^ (y >> 1);
+                        if y & 1 != 0 {
+                            next ^= MATRIX_A;
+                        }
+                        state[i] = next;
+                    }
+                    index = 0;
+                }
+                let mut y = state[index];
+                index += 1;
+                y ^= y >> 11;
+                y ^= (y << 7) & 0x9d2c_5680;
+                y ^= (y << 15) & 0xefc6_0000;
+                y ^ (y >> 18)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_seeding_matches_eager_seeding() {
+        let mut seeder = crate::rng::SplitMix64::new(0x1A2F);
+        let seeds =
+            [0, 1, 5489, u32::MAX].into_iter().chain((0..1_000).map(|_| seeder.next_seed32()));
+        for seed in seeds {
+            let mut mt = Mt19937::new(seed);
+            let lazy: Vec<u32> = (0..2_000).map(|_| mt.next_u32_raw()).collect();
+            assert_eq!(lazy, eager_outputs(seed, 2_000), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn discard_and_position_cross_the_first_block_boundary() {
+        let eager = eager_outputs(20_160_401, 700);
+        for skip in [0u64, 1, 226, 227, 228, 622, 623, 624, 625, 626] {
+            let mut mt = Mt19937::new(20_160_401);
+            mt.discard(skip);
+            assert_eq!(mt.position(), skip);
+            for (k, &expect) in eager[skip as usize..skip as usize + 3].iter().enumerate() {
+                assert_eq!(mt.next_u32_raw(), expect, "output {} after discard {skip}", k);
+            }
+            assert_eq!(mt.position(), skip + 3);
+        }
+    }
+
+    #[test]
+    fn a_clone_taken_mid_first_block_continues_identically() {
+        for cut in [1usize, 5, 200, 227, 400, 623, 624] {
+            let mut original = Mt19937::new(77);
+            for _ in 0..cut {
+                original.next_u32_raw();
+            }
+            let mut copy = original.clone();
+            assert_eq!(copy.position(), original.position());
+            for _ in 0..1_300 {
+                assert_eq!(copy.next_u32_raw(), original.next_u32_raw(), "clone at {cut}");
+            }
+        }
+        // Reseeding a generator deep into its stream restarts it lazily.
+        let mut reused = Mt19937::new(3);
+        reused.discard(5_000);
+        reused.reseed(91);
+        let outputs: Vec<u32> = (0..700).map(|_| reused.next_u32_raw()).collect();
+        assert_eq!(outputs, eager_outputs(91, 700));
+    }
+
+    #[test]
+    fn detached_streams_are_unchanged_by_lazy_seeding() {
+        // Outputs 0..4 and 624..627 of detached proposal streams, recorded
+        // from the eagerly seeded generator.
+        let golden: [(u64, usize, [u32; 4], [u32; 3]); 4] = [
+            (
+                1,
+                0,
+                [1192895586, 1545201766, 3947374051, 3735664304],
+                [4178506987, 4274838666, 1608749466],
+            ),
+            (
+                1,
+                31,
+                [2506268555, 4113287510, 2008289520, 1362058208],
+                [760679388, 548631715, 2839841526],
+            ),
+            (
+                7,
+                5,
+                [3873745357, 3537436119, 548983541, 3291735305],
+                [3370419670, 3787463401, 3084966894],
+            ),
+            (
+                2_063,
+                17,
+                [727877817, 147355601, 1052406970, 3975779653],
+                [1181700757, 633592031, 925214059],
+            ),
+        ];
+        let bank = crate::rng::StreamBank::new(0x5EED_2016, 4);
+        for (epoch, slot, head, tail) in golden {
+            let mut stream = bank.detached(epoch, slot);
+            let got: Vec<u32> = (0..4).map(|_| stream.next_u32_raw()).collect();
+            assert_eq!(got, head, "epoch {epoch}, slot {slot}");
+            stream.discard(620);
+            let got: Vec<u32> = (0..3).map(|_| stream.next_u32_raw()).collect();
+            assert_eq!(got, tail, "epoch {epoch}, slot {slot}");
+        }
     }
 
     #[test]

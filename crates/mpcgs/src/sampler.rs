@@ -15,6 +15,12 @@
 //!    deterministic part of the resimulation (feasible intervals and their
 //!    weights, [`lamarc::proposal::NeighbourhoodPlan`]) is the same for all
 //!    `N`, so the host plans it once and every thread only draws from it.
+//!    Like the paper's per-thread proposal buffers, the sampler keeps `N`
+//!    proposal *slots* across iterations: each thread draws into its own
+//!    slot's tree, which takes the generator's node data in storage it
+//!    already owns, so a steady-state proposal set allocates and frees no
+//!    tree storage. Slots are scratch, not chain state: they are not in a
+//!    [`ChainSnapshot`], a checkpoint or a clone of the sampler.
 //! 3. The *data likelihood kernel*: `ln P(D|G̃_i)` is evaluated for every
 //!    member of the set (site-parallel inside the engine, proposal-parallel
 //!    across the set).
@@ -26,11 +32,15 @@
 //! 5. The last drawn state becomes the generator for the next iteration —
 //!    and is *committed* into the likelihood engine's cached workspace along
 //!    its dirty path, so a moved generator costs O(path) instead of a full
-//!    re-prune at the next iteration.
+//!    re-prune at the next iteration. The accepted slot's tree is swapped
+//!    with the generator, so the old generator's storage becomes that slot's
+//!    tree for the next draw.
 //!
 //! The sampler is the second [`GenealogySampler`] strategy: one
 //! [`GenealogySampler::step`] is one whole proposal-set iteration, and a full
 //! run produces the same unified [`RunReport`] as the baseline.
+
+use std::sync::{Mutex, PoisonError};
 
 use exec::Backend;
 use mcmc::chain::Trace;
@@ -63,8 +73,13 @@ struct GmhChain {
     swapped_loglik: Option<f64>,
 }
 
+/// One proposal slot: the tree a proposal is drawn into and its edited node
+/// set, each behind its own lock so the proposal threads can fill their
+/// slots in parallel.
+type Slot = Mutex<(GeneTree, Vec<NodeId>)>;
+
 /// The multi-proposal sampler bound to a likelihood engine and a driving θ.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MultiProposalSampler<E> {
     target: GenealogyTarget<E>,
     proposer: GenealogyProposer,
@@ -76,6 +91,25 @@ pub struct MultiProposalSampler<E> {
     /// proposal sets and be silently correlated.
     epoch: u64,
     chain: Option<GmhChain>,
+    /// The proposal slots kept across iterations (see the module docs,
+    /// step 2).
+    slots: Vec<Slot>,
+}
+
+impl<E: Clone> Clone for MultiProposalSampler<E> {
+    fn clone(&self) -> Self {
+        MultiProposalSampler {
+            target: self.target.clone(),
+            proposer: self.proposer,
+            config: self.config,
+            streams: self.streams.clone(),
+            epoch: self.epoch,
+            chain: self.chain.clone(),
+            // Proposal slots are scratch, not state: a clone starts without
+            // them and fills its own on its first iteration.
+            slots: Vec::new(),
+        }
+    }
 }
 
 impl<E: LikelihoodEngine> MultiProposalSampler<E> {
@@ -97,7 +131,15 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
         let target = GenealogyTarget::new(engine, theta)?;
         let proposer = GenealogyProposer::with_config(theta, config.proposal)?;
         let streams = StreamBank::new(config.stream_seed, config.proposals_per_iteration);
-        Ok(MultiProposalSampler { target, proposer, config, streams, epoch: 0, chain: None })
+        Ok(MultiProposalSampler {
+            target,
+            proposer,
+            config,
+            streams,
+            epoch: 0,
+            chain: None,
+            slots: Vec::new(),
+        })
     }
 
     /// The driving θ.
@@ -143,19 +185,31 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
 
         // Step 2: the proposal kernel. The φ-neighborhood's plan is built
         // once; then one logical thread per proposal draws from it with its
-        // own detached RNG stream and reports the edited φ-neighborhood
-        // alongside the proposed tree.
+        // own detached RNG stream into its own slot, which receives the
+        // proposed tree and the edited φ-neighborhood.
         let plan = self.proposer.plan(&chain.generator, phi);
-        let set: Vec<(GeneTree, Vec<NodeId>)> = {
+        if self.slots.len() < n_proposals {
+            let generator = &chain.generator;
+            self.slots.resize_with(n_proposals, || {
+                Mutex::new((generator.clone(), Vec::with_capacity(2)))
+            });
+        }
+        {
             let generator_ref = &chain.generator;
             let proposer = &self.proposer;
             let plan = &plan;
             let streams = &self.streams;
+            let slots = &self.slots;
+            // A slot whose lock was poisoned by a panicking draw is still fit
+            // for reuse: every draw overwrites its slot whole before anything
+            // reads it.
             backend.map_indexed(n_proposals, move |slot| {
                 let mut stream = streams.detached(epoch, slot);
-                proposer.draw(plan, generator_ref, &mut stream)
-            })
-        };
+                let mut guard = slots[slot].lock().unwrap_or_else(PoisonError::into_inner);
+                let (tree, edited) = &mut *guard;
+                proposer.draw_into(plan, generator_ref, &mut stream, tree, edited);
+            });
+        }
 
         // Step 3: the data-likelihood kernel, batched: the whole proposal set
         // is scored against the generator in one call. The engine reuses the
@@ -163,11 +217,15 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
         // dirty path, and the generator workspace itself is memoised across
         // iterations (unchanged generators hit the cache; moved generators
         // are committed in step 5).
-        let proposal_refs: Vec<TreeProposal<'_>> =
-            set.iter().map(|(tree, edited)| TreeProposal { tree, edited }).collect();
+        let proposal_refs: Vec<TreeProposal<'_>> = self.slots[..n_proposals]
+            .iter_mut()
+            .map(|slot| {
+                let (tree, edited) = &*slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+                TreeProposal { tree, edited }
+            })
+            .collect();
         let eval =
             self.target.log_data_likelihood_batch(backend, &chain.generator, &proposal_refs)?;
-        drop(proposal_refs);
         let generator_loglik = eval.generator_log_likelihood;
         chain.counters.proposals_generated += n_proposals;
         chain.counters.likelihood_evaluations += n_proposals;
@@ -182,7 +240,7 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
         // untempered ln P(D|G̃_i). β = 1 multiplies by 1.0, which is
         // bit-identical to the untempered sampler.
         let beta = self.target.beta();
-        let generator_index = set.len();
+        let generator_index = n_proposals;
         let mut log_weights: Vec<f64> =
             eval.log_likelihoods.iter().map(|&loglik| beta * loglik).collect();
         log_weights.push(beta * generator_loglik);
@@ -206,7 +264,7 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
             let (tree, loglik) = if idx == generator_index {
                 (&chain.generator, generator_loglik)
             } else {
-                (&set[idx].0, eval.log_likelihoods[idx])
+                (proposal_refs[idx].tree, eval.log_likelihoods[idx])
             };
             chain.trace.push(loglik);
             if chain.draws_done >= self.config.burn_in_draws {
@@ -223,17 +281,19 @@ impl<E: LikelihoodEngine> MultiProposalSampler<E> {
 
         // Step 5: the last sample generates the next proposal set. Commit it
         // into the engine's cached workspace so the move costs one dirty path
-        // rather than a full generator rebuild next iteration.
+        // rather than a full generator rebuild next iteration, then swap it
+        // with the generator: the old generator's storage is the slot's next
+        // scratch tree.
         if last_index != generator_index {
-            let (accepted, edited) = &set[last_index];
+            let slot = self.slots[last_index].get_mut().unwrap_or_else(PoisonError::into_inner);
+            let (accepted, edited) = &*slot;
             if let Some(nodes) =
                 self.target.engine().commit_accepted(&chain.generator, accepted, edited)?
             {
                 chain.counters.workspace_commits += 1;
                 chain.counters.nodes_committed += nodes;
             }
-            let mut set = set;
-            chain.generator = set.swap_remove(last_index).0;
+            std::mem::swap(&mut chain.generator, &mut slot.0);
         }
 
         Ok(StepReport {
@@ -485,6 +545,67 @@ mod tests {
         }
         let run_b = resumed.finish().unwrap();
         assert_eq!(run_a, run_b);
+    }
+
+    #[test]
+    fn steady_state_proposal_sets_allocate_no_tree_storage() {
+        // Each proposal is drawn into its kept slot and the accepted slot is
+        // swapped with the generator, so once warm an iteration neither
+        // allocates nor copy-on-write-clones a single slab.
+        let mut rng = Mt19937::new(97);
+        let alignment = simulated_alignment(&mut rng, 12, 80, 1.0);
+        let engine = FelsensteinPruner::new(&alignment, Jc69::new());
+        let config = MpcgsConfig { burn_in_draws: 0, sample_draws: 10_000, ..small_config() };
+        let mut sampler = MultiProposalSampler::new(engine, config).unwrap();
+        sampler.begin(upgma_tree(&alignment, 1.0).unwrap()).unwrap();
+        for _ in 0..10 {
+            sampler.step(&mut rng).unwrap();
+        }
+        let accepted = sampler.chain.as_ref().unwrap().counters.accepted;
+        let before = phylo::tables::cow_stats();
+        for _ in 0..50 {
+            sampler.step(&mut rng).unwrap();
+        }
+        let delta = phylo::tables::cow_stats().since(&before);
+        assert_eq!((delta.slab_allocs, delta.slab_cow_clones), (0, 0), "{delta:?}");
+        assert!(sampler.chain.as_ref().unwrap().counters.accepted > accepted + 10);
+    }
+
+    #[test]
+    fn samplers_with_used_slots_resume_bit_identically() {
+        // Slots are scratch: they survive `begin` and `import_chain` and are
+        // left out of clones, and what they hold must not leak into a
+        // resumed chain.
+        let mut rng = Mt19937::new(103);
+        let alignment = simulated_alignment(&mut rng, 7, 50, 1.0);
+        let engine = FelsensteinPruner::new(&alignment, Jc69::new());
+        let initial = upgma_tree(&alignment, 1.0).unwrap();
+        let config = small_config();
+
+        let mut uninterrupted = MultiProposalSampler::new(engine.clone(), config).unwrap();
+        let run_a = uninterrupted.run(initial.clone(), &mut Mt19937::new(29), &mut NullObserver);
+
+        let mut first_half = MultiProposalSampler::new(engine, config).unwrap();
+        let mut rng_b = Mt19937::new(29);
+        first_half.begin(initial.clone()).unwrap();
+        for _ in 0..17 {
+            first_half.step(&mut rng_b).unwrap();
+        }
+        let snapshot = first_half.export_chain().unwrap();
+
+        let mut used = uninterrupted.clone();
+        assert!(used.slots.is_empty(), "a clone starts without proposal slots");
+        used.run(initial, &mut Mt19937::new(31), &mut NullObserver).unwrap();
+        for resumed in [&mut uninterrupted, &mut used] {
+            assert_eq!(resumed.slots.len(), config.proposals_per_iteration);
+            resumed.import_chain(snapshot.clone()).unwrap();
+            let mut rng_c = Mt19937::new(29);
+            rng_c.discard(rng_b.position());
+            while !resumed.is_done() {
+                resumed.step(&mut rng_c).unwrap();
+            }
+            assert_eq!(run_a.as_ref().unwrap(), &resumed.finish().unwrap());
+        }
     }
 
     #[test]

@@ -41,9 +41,13 @@ pub fn parse_phylip(text: &str) -> Result<Alignment, PhyloError> {
         });
     }
 
-    let mut sequences: Vec<Sequence> = Vec::with_capacity(n_seqs);
+    // The header is untrusted: every sequence and every site takes at least
+    // one byte of input, so the input's length bounds what is worth
+    // reserving (a header asking for 2^64 sites is a parse error below, not
+    // a capacity-overflow panic here).
+    let mut sequences: Vec<Sequence> = Vec::with_capacity(n_seqs.min(text.len()));
     let mut current_name: Option<String> = None;
-    let mut current_bases: Vec<Nucleotide> = Vec::with_capacity(n_sites);
+    let mut current_bases: Vec<Nucleotide> = Vec::with_capacity(n_sites.min(text.len()));
 
     let flush = |name: Option<String>, bases: &mut Vec<Nucleotide>, seqs: &mut Vec<Sequence>| {
         if let Some(name) = name {
@@ -106,12 +110,14 @@ fn split_name(line: &str) -> (String, &str) {
         let (name, rest) = line.split_at(pos);
         return (name.trim().to_string(), rest);
     }
-    // Strict format: first NAME_WIDTH characters are the name.
-    if line.len() > NAME_WIDTH {
-        let (name, rest) = line.split_at(NAME_WIDTH);
-        (name.trim().to_string(), rest)
-    } else {
-        (line.trim().to_string(), "")
+    // Strict format: the first NAME_WIDTH characters (not bytes) are the
+    // name, so a multi-byte character never straddles the split.
+    match line.char_indices().nth(NAME_WIDTH) {
+        Some((split, _)) => {
+            let (name, rest) = line.split_at(split);
+            (name.trim().to_string(), rest)
+        }
+        None => (line.trim().to_string(), ""),
     }
 }
 
@@ -208,6 +214,32 @@ seq_three ACGTTCGTACGA
                 assert!(message.contains("'X'"), "unpointed error: {message}");
             }
             other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strict_names_split_at_the_tenth_character_not_byte() {
+        // Ten three-byte characters: byte 10 is inside the fourth one.
+        let a = parse_phylip(" 2 4\n€€€€€€€€€€ACGT\nb         ACGA\n").unwrap();
+        assert_eq!(a.sequence(0).name(), "€€€€€€€€€€");
+        assert_eq!(a.sequence(0).to_letters(), "ACGT");
+        // Four of them and the bases fill the name field: a pointed error.
+        let err = parse_phylip(" 1 4\n€€€€ACGT\n").unwrap_err();
+        assert!(err.to_string().contains("sites"), "{err}");
+        let err = parse_phylip(" 1 4\n€€€€ACGTACGTA\n").unwrap_err();
+        assert!(err.to_string().contains("\"€€€€ACGTAC\" has 3 sites"), "{err}");
+    }
+
+    #[test]
+    fn header_counts_do_not_size_allocations() {
+        let max = usize::MAX;
+        for text in [
+            format!(" {max} 4\ns1 ACGT\n"),
+            format!(" 1 {max}\ns1 ACGT\n"),
+            format!(" {max} {max}\ns1 ACGT\n"),
+        ] {
+            let err = parse_phylip(&text).unwrap_err();
+            assert!(err.to_string().contains("promised"), "{err}");
         }
     }
 

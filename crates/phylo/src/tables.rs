@@ -29,6 +29,18 @@
 //! replica-exchange swaps, ensemble read-back and checkpoint export are
 //! reference-count bumps.
 //!
+//! # `clone` versus `clone_from`
+//!
+//! `clone()` is always the O(1) snapshot above. `clone_from` is the reuse
+//! path for scratch trees that are overwritten over and over, like a
+//! sampler's proposal slots: when the target owns its slab directory and
+//! has the source's shape, the source's node data is copied into the
+//! target's own slabs, so the edits that follow hit uniquely owned slabs
+//! and allocate nothing. Slabs the target already shares with the source
+//! are kept; slabs it shares with any third table are replaced by the
+//! source's, never written through. A target of another shape, or one whose
+//! directory is shared, takes a snapshot instead.
+//!
 //! # View-vs-owner rules
 //!
 //! [`GeneTree`] is a thin *view* over one
@@ -176,6 +188,34 @@ impl<T: Copy> Column<T> {
         Column { dir: Arc::new(dir), len: values.len() }
     }
 
+    /// Copy `source` into this column's own storage when this column owns
+    /// its directory and has the same length: uniquely owned slabs are
+    /// overwritten in place, slabs already shared with `source` are kept,
+    /// and slabs shared with any other column are swapped for `source`'s
+    /// (a snapshot of that slab). Otherwise this takes the O(1) snapshot.
+    /// Either way no other column observes a write.
+    fn copy_from(&mut self, source: &Self) {
+        if Arc::ptr_eq(&self.dir, &source.dir) {
+            return;
+        }
+        let dir = match Arc::get_mut(&mut self.dir) {
+            Some(dir) if self.len == source.len => dir,
+            _ => {
+                *self = source.clone();
+                return;
+            }
+        };
+        for (slab, from) in dir.iter_mut().zip(source.dir.iter()) {
+            if Arc::ptr_eq(slab, from) {
+                continue;
+            }
+            match Arc::get_mut(slab) {
+                Some(owned) => owned.data = from.data,
+                None => *slab = Arc::clone(from),
+            }
+        }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
@@ -289,6 +329,24 @@ impl Clone for TreeTables {
             root: self.root,
             n_tips: self.n_tips,
         }
+    }
+
+    /// Copy `source` into this table's own storage, column by column (see
+    /// the [module docs](self)): a reused table of the same shape takes
+    /// the source's node data without allocating, and a column that cannot
+    /// be reused falls back to a snapshot of the source column. Not counted
+    /// in [`CowStats::snapshots`].
+    fn clone_from(&mut self, source: &Self) {
+        self.parent.copy_from(&source.parent);
+        self.left_child.copy_from(&source.left_child);
+        self.right_sib.copy_from(&source.right_sib);
+        self.time.copy_from(&source.time);
+        self.label_id.copy_from(&source.label_id);
+        if !Arc::ptr_eq(&self.labels, &source.labels) {
+            self.labels = Arc::clone(&source.labels);
+        }
+        self.root = source.root;
+        self.n_tips = source.n_tips;
     }
 }
 
@@ -758,6 +816,64 @@ mod tests {
         // every slab allocated or materialised in this scope is freed again.
         let delta = cow_stats().since(&before);
         assert_eq!(delta.live_slabs(), 0, "orphan slabs after CoW mutation: {delta:?}");
+    }
+
+    #[test]
+    fn clone_from_copies_into_owned_slabs_without_allocating() {
+        let (records, root) = chain_records(150);
+        let source = TreeTables::from_records(&records, root).unwrap();
+        // A uniquely owned target of the same shape with other contents.
+        let mut target = TreeTables::from_records(&records, root).unwrap();
+        target.scale_times(3.0);
+        target.replace_child_of(4, 2, 1);
+
+        let before = cow_stats();
+        target.clone_from(&source);
+        let delta = cow_stats().since(&before);
+        assert_eq!((delta.slab_allocs, delta.slab_cow_clones, delta.slab_drops), (0, 0, 0));
+        assert_eq!(delta.snapshots, 0);
+        assert_eq!(target.to_records(), records);
+        target.check_links().unwrap();
+        assert_eq!(target.shared_slabs(), 0, "every slab stays the target's own");
+
+        // Its slabs are its own, so edits after the copy are free too.
+        let before = cow_stats();
+        target.set_time_of(0, 42.0);
+        target.set_children_of(4, 3, 2);
+        assert_eq!(cow_stats().since(&before).slab_cow_clones, 0);
+        assert_eq!(source.time_of(0), 0.0);
+        assert_eq!(source.children_of(4), Some((2, 3)));
+    }
+
+    #[test]
+    fn clone_from_never_writes_through_to_a_third_table() {
+        let (records, root) = chain_records(150);
+        let source = TreeTables::from_records(&records, root).unwrap();
+        let mut target = TreeTables::from_records(&records, root).unwrap();
+        target.scale_times(5.0);
+        // `third` shares every slab of `target`; one write gives `target`
+        // its own directory and one own slab per touched column, so the
+        // rest stay shared with `third`.
+        let third = target.snapshot();
+        let third_records = third.to_records();
+        target.set_time_of(0, 1.0);
+        assert!(target.shared_slabs() > 0);
+
+        target.clone_from(&source);
+        assert_eq!(target.to_records(), records);
+        assert_eq!(third.to_records(), third_records, "clone_from wrote through a shared slab");
+        for node in 0..target.n_nodes() {
+            target.set_time_of(node, -1.0);
+        }
+        assert_eq!(third.to_records(), third_records);
+        assert_eq!(source.to_records(), records);
+
+        // A target of another shape takes a snapshot instead.
+        let (small, small_root) = chain_records(7);
+        let mut other = TreeTables::from_records(&small, small_root).unwrap();
+        other.clone_from(&source);
+        assert!(other.shares_storage_with(&source));
+        assert_eq!(other.to_records(), records);
     }
 
     #[test]

@@ -34,8 +34,10 @@ pub type NodeId = usize;
 ///
 /// Cloning takes an O(1) snapshot: the clone shares every column slab with
 /// the original and either side materialises only the slabs it subsequently
-/// mutates. Value semantics are fully preserved — a clone never observes the
-/// original's later writes, and vice versa.
+/// mutates. `clone_from` into an existing tree of the same shape copies the
+/// node data into that tree's own slabs instead. Value semantics are fully
+/// preserved — a clone never observes the original's later writes, and vice
+/// versa.
 #[derive(Debug)]
 pub struct GeneTree {
     tables: TreeTables,
@@ -44,6 +46,13 @@ pub struct GeneTree {
 impl Clone for GeneTree {
     fn clone(&self) -> Self {
         GeneTree { tables: self.tables.snapshot() }
+    }
+
+    /// Overwrite this tree with `source`, reusing its own storage when it
+    /// has the same shape (see [`TreeTables`]'s `clone_from`): the way to
+    /// refill a scratch tree without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.tables.clone_from(&source.tables);
     }
 }
 
