@@ -11,9 +11,11 @@
 //! ```
 //!
 //! Normalisation rules: only `pub` items (restricted forms like
-//! `pub(crate)` are internal and excluded); trait-impl methods list when
-//! the implementing type is itself listed (trait methods are as public as
-//! their trait); paths are `crate::module::…` with raw-ident prefixes
+//! `pub(crate)` are internal and excluded); trait-impl methods list unless
+//! the implementing type or the trait is a private item of the crate
+//! (trait methods are as public as their trait and their type, so impls
+//! for foreign, primitive, generic and slice implementors list, the last
+//! under the name `slice` or `array`); paths are `crate::module::…` with raw-ident prefixes
 //! stripped; lines are bytewise sorted and unique. The listing is a
 //! *surface fingerprint*, not rustdoc: it deliberately ignores signatures
 //! and generics, so a parameter change does not churn the baseline — only
@@ -24,14 +26,47 @@
 //! committed baseline and fails with a readable diff plus the regen
 //! one-liner.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::Diagnostic;
 use crate::graph::FileUnit;
 use crate::items::Visibility;
 
+/// Item kinds that can implement or be a trait.
+const TYPE_KINDS: [&str; 5] = ["struct", "enum", "union", "type", "trait"];
+
+/// Per crate, the names of type and trait items declared only without
+/// plain `pub` (or only in test code). A name that is also declared `pub`
+/// somewhere in the crate is not private: the listing cannot tell which
+/// declaration an impl names.
+fn private_type_names(files: &[FileUnit]) -> BTreeMap<&str, BTreeSet<&str>> {
+    let mut public: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut private: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for file in files {
+        let crate_name = file.items.crate_name.as_str();
+        for item in &file.items.items {
+            if item.self_ty.is_some() || !TYPE_KINDS.contains(&item.kind) {
+                continue;
+            }
+            let side = if item.vis == Visibility::Pub && !item.is_test {
+                &mut public
+            } else {
+                &mut private
+            };
+            side.entry(crate_name).or_default().insert(item.name.as_str());
+        }
+    }
+    for (crate_name, names) in &mut private {
+        if let Some(public) = public.get(crate_name) {
+            names.retain(|name| !public.contains(name));
+        }
+    }
+    private
+}
+
 /// Build the normalised API-surface listing over the parsed workspace.
 pub fn surface(files: &[FileUnit]) -> String {
+    let private = private_type_names(files);
     let mut lines: BTreeSet<String> = BTreeSet::new();
     for file in files {
         let items = &file.items;
@@ -63,11 +98,18 @@ pub fn surface(files: &[FileUnit]) -> String {
                 // entry already covers it.
                 continue;
             }
+            let ty = f.self_ty.as_deref().unwrap_or_default();
+            let tr = f.trait_name.as_deref().unwrap_or_default();
+            // An impl of or for a private item is as private as that item.
+            if private
+                .get(items.crate_name.as_str())
+                .is_some_and(|names| names.contains(ty) || names.contains(tr))
+            {
+                continue;
+            }
             let mut parts: Vec<&str> = vec![items.crate_name.as_str()];
             parts.extend(items.base_modules.iter().map(String::as_str));
             parts.extend(f.modules.iter().map(String::as_str));
-            let ty = f.self_ty.as_deref().unwrap_or_default();
-            let tr = f.trait_name.as_deref().unwrap_or_default();
             parts.push(ty);
             parts.push(f.name.as_str());
             lines.insert(format!("{}  fn [impl {}]", parts.join("::"), tr));
@@ -158,6 +200,148 @@ mod tests {
         )]);
         assert!(s.contains("lamarc::sampler::GenealogySampler  trait\n"));
         assert!(s.contains("lamarc::sampler::LamarcSampler::step  fn [impl GenealogySampler]\n"));
+    }
+
+    #[test]
+    fn impls_for_private_types_are_not_listed() {
+        let s = surface_of(&[(
+            "crates/mpcgs/src/session.rs",
+            "pub trait RunObserver { fn on_iteration(&mut self); }
+struct FanOut;
+impl RunObserver for FanOut {
+    fn on_iteration(&mut self) {}
+}
+struct Slab<T>(T);
+impl<T: Clone> Clone for Slab<T> {
+    fn clone(&self) -> Self { Slab(self.0.clone()) }
+}
+",
+        )]);
+        assert_eq!(
+            s,
+            "mpcgs::session::RunObserver  trait
+"
+        );
+    }
+
+    #[test]
+    fn impls_of_private_traits_are_not_listed() {
+        let s = surface_of(&[(
+            "crates/bench/src/lib.rs",
+            "trait SeedPair { fn seed_from_u64_pair(a: u64) -> Self; }
+impl SeedPair for Mt19937 {
+    fn seed_from_u64_pair(a: u64) -> Self { todo() }
+}
+",
+        )]);
+        assert_eq!(s, "");
+    }
+
+    #[test]
+    fn impls_for_foreign_primitive_and_generic_types_stay_listed() {
+        let s = surface_of(&[(
+            "crates/shims/rand/src/lib.rs",
+            "pub trait StandardSample { fn sample(); }
+impl StandardSample for f64 {
+    fn sample() {}
+}
+pub trait RngCore { fn next_u32(&mut self) -> u32; }
+impl<R: RngCore + ?Sized> RngCore for Box<R> {
+    fn next_u32(&mut self) -> u32 { 0 }
+}
+impl<R: RngCore> RngCore for R {
+    fn next_u32(&mut self) -> u32 { 0 }
+}
+impl Default for Error {
+    fn default() -> Self { Error }
+}
+",
+        )]);
+        assert!(
+            s.contains(
+                "rand::f64::sample  fn [impl StandardSample]
+"
+            ),
+            "{s}"
+        );
+        assert!(
+            s.contains(
+                "rand::Box::next_u32  fn [impl RngCore]
+"
+            ),
+            "{s}"
+        );
+        assert!(
+            s.contains(
+                "rand::R::next_u32  fn [impl RngCore]
+"
+            ),
+            "{s}"
+        );
+        assert!(
+            s.contains(
+                "rand::Error::default  fn [impl Default]
+"
+            ),
+            "{s}"
+        );
+    }
+
+    #[test]
+    fn a_name_declared_both_pub_and_private_stays_listed() {
+        let s = surface_of(&[
+            (
+                "crates/exec/src/host.rs",
+                "pub struct Config;
+impl Default for Config {
+    fn default() -> Self { Config }
+}
+",
+            ),
+            (
+                "crates/exec/src/device.rs",
+                "struct Config;
+",
+            ),
+        ]);
+        assert!(
+            s.contains(
+                "exec::host::Config::default  fn [impl Default]
+"
+            ),
+            "{s}"
+        );
+    }
+
+    #[test]
+    fn slice_and_array_implementors_get_a_name() {
+        let s = surface_of(&[(
+            "crates/shims/rayon/src/lib.rs",
+            "pub trait IntoParallelIterator { fn into_par_iter(self); }
+impl<'data, T: Sync + 'data> IntoParallelIterator for &'data [T] {
+    fn into_par_iter(self) {}
+}
+pub trait Fill { fn fill(&mut self); }
+impl Fill for [[u8; 4]; 2] {
+    fn fill(&mut self) {}
+}
+",
+        )]);
+        assert!(
+            s.contains(
+                "rayon::slice::into_par_iter  fn [impl IntoParallelIterator]
+"
+            ),
+            "{s}"
+        );
+        assert!(
+            s.contains(
+                "rayon::array::fill  fn [impl Fill]
+"
+            ),
+            "{s}"
+        );
+        assert!(!s.contains("::::"), "{s}");
     }
 
     #[test]

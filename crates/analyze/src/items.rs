@@ -595,7 +595,26 @@ impl<'s> ItemParser<'s> {
                     self.si = self.skip_group(self.si, "(", ")");
                 }
                 "[" => {
-                    self.si = self.skip_group(self.si, "[", "]");
+                    // A slice or array type (`impl Trait for &'a [T]`) has
+                    // no path; name it after its kind so the listing never
+                    // carries an empty segment.
+                    let end = self.skip_group(self.si, "[", "]");
+                    let mut depth = 0;
+                    let mut name = "slice";
+                    for i in self.si..end {
+                        match self.text(i) {
+                            "[" => depth += 1,
+                            "]" => depth -= 1,
+                            ";" if depth == 1 => name = "array",
+                            _ => {}
+                        }
+                    }
+                    if saw_for {
+                        second_path_last = Some(name.to_string());
+                    } else {
+                        first_path_last = Some(name.to_string());
+                    }
+                    self.si = end;
                 }
                 _ => {
                     if matches!(self.kind(self.si), TokenKind::Ident | TokenKind::RawIdent)

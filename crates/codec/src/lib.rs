@@ -193,9 +193,11 @@ impl Json {
     }
 
     /// Parse a JSON document. Errors carry a byte offset and a short
-    /// description.
+    /// description. Arrays and objects may nest at most 128 levels deep,
+    /// so an untrusted document cannot exhaust the stack of the recursive
+    /// parser.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
         parser.skip_whitespace();
@@ -228,9 +230,15 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// workspace's own documents nest under ten levels.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -259,8 +267,15 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.error(&format!("nesting deeper than {MAX_NESTING} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Json::Bool(true)),
             Some(b'f') => self.parse_literal("false", Json::Bool(false)),
@@ -430,6 +445,18 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let err = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[{\"a\":".repeat(200_000)).is_err());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_NESTING), "}".repeat(MAX_NESTING));
+        assert!(Json::parse(&objects).is_ok());
+    }
 
     fn doc() -> Json {
         Json::Object(vec![

@@ -12,8 +12,19 @@
 //! computed here in log domain with a log-mean-exp (Section 5.3, and exactly
 //! what the posterior-likelihood kernel of Section 5.2.3 computes). The
 //! maximiser is the step-halving gradient ascent of Algorithm 2.
+//!
+//! A sample's term depends only on its summary (coalescence count, waiting
+//! statistic `W`, and `ln P(G|θ₀)`), and a chain retains the same genealogy
+//! many times over: a 20 000-draw run keeps around 1 400 distinct
+//! summaries. [`RelativeLikelihood`] therefore groups the samples by the
+//! exact bits of their summaries once, evaluates each term's log ratio and
+//! its `exp` once per distinct summary, and sums the exponentials over the
+//! samples *in sample order* with the same fold as
+//! [`log_sum_exp`](mcmc::logdomain::log_sum_exp) — so every evaluation, and
+//! the θ̂ the ascent reaches, is bit-identical to summing all samples term
+//! by term.
 
-use mcmc::logdomain::log_sum_exp;
+use std::collections::BTreeMap;
 
 use coalescent::{CoalescentError, KingmanPrior};
 use phylo::tree::CoalescentIntervals;
@@ -23,11 +34,11 @@ use phylo::tree::CoalescentIntervals;
 #[derive(Debug, Clone)]
 pub struct RelativeLikelihood {
     theta0: f64,
-    /// Per-sample sufficient statistics: (number of coalescences, waiting
-    /// statistic Σ k(k−1)t).
-    stats: Vec<(f64, f64)>,
-    /// Per-sample log prior at the driving value (cached).
-    log_prior_at_driving: Vec<f64>,
+    /// The distinct sample summaries: (number of coalescences, waiting
+    /// statistic Σ k(k−1)t, log prior at the driving value).
+    distinct: Vec<(f64, f64, f64)>,
+    /// Each sample's index into `distinct`, in sample order.
+    index: Vec<u32>,
 }
 
 impl RelativeLikelihood {
@@ -41,10 +52,24 @@ impl RelativeLikelihood {
                 minimum: 1,
             });
         }
-        let stats: Vec<(f64, f64)> =
-            samples.iter().map(|s| (s.n_coalescences() as f64, s.waiting_statistic())).collect();
-        let log_prior_at_driving = samples.iter().map(|s| driving.log_prior_intervals(s)).collect();
-        Ok(RelativeLikelihood { theta0, stats, log_prior_at_driving })
+        let mut slots: BTreeMap<[u64; 3], u32> = BTreeMap::new();
+        let mut distinct = Vec::new();
+        let index = samples
+            .iter()
+            .map(|s| {
+                let summary = (
+                    s.n_coalescences() as f64,
+                    s.waiting_statistic(),
+                    driving.log_prior_intervals(s),
+                );
+                let key = [summary.0.to_bits(), summary.1.to_bits(), summary.2.to_bits()];
+                *slots.entry(key).or_insert_with(|| {
+                    distinct.push(summary);
+                    (distinct.len() - 1) as u32
+                })
+            })
+            .collect();
+        Ok(RelativeLikelihood { theta0, distinct, index })
     }
 
     /// The driving θ₀.
@@ -54,7 +79,7 @@ impl RelativeLikelihood {
 
     /// Number of genealogy samples backing the estimate.
     pub fn n_samples(&self) -> usize {
-        self.stats.len()
+        self.index.len()
     }
 
     /// `ln L(θ)` — the log of Eq. 26. Returns `-inf` for non-positive θ so
@@ -63,16 +88,16 @@ impl RelativeLikelihood {
         if !(theta > 0.0 && theta.is_finite()) {
             return f64::NEG_INFINITY;
         }
-        let log_ratios: Vec<f64> = self
-            .stats
+        let ln_two_over_theta = (2.0 / theta).ln();
+        let mut terms: Vec<f64> = self
+            .distinct
             .iter()
-            .zip(&self.log_prior_at_driving)
-            .map(|(&(events, waiting), &lp0)| {
-                let lp = events * (2.0 / theta).ln() - waiting / theta;
+            .map(|&(events, waiting, lp0)| {
+                let lp = events * ln_two_over_theta - waiting / theta;
                 lp - lp0
             })
             .collect();
-        log_sum_exp(&log_ratios) - (log_ratios.len() as f64).ln()
+        log_sum_exp_indexed(&mut terms, &self.index) - (self.index.len() as f64).ln()
     }
 
     /// Evaluate the curve at the given θ values (Figure 5).
@@ -87,6 +112,31 @@ impl RelativeLikelihood {
         let step = (hi / lo).ln() / (points - 1) as f64;
         (0..points).map(|i| lo * (step * i as f64).exp()).collect()
     }
+}
+
+/// [`log_sum_exp`](mcmc::logdomain::log_sum_exp) of the sequence
+/// `terms[index[0]], terms[index[1]], …`, bit for bit: the maximum and the
+/// NaN/±inf sentinels are taken over `terms` (the same set of values), each
+/// `exp(x − max)` is taken once per distinct term (overwriting `terms`), and
+/// the exponentials are summed in `index` order with the same `Sum` fold.
+fn log_sum_exp_indexed(terms: &mut [f64], index: &[u32]) -> f64 {
+    let mut max = f64::NEG_INFINITY;
+    for &x in terms.iter() {
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        if x > max {
+            max = x;
+        }
+    }
+    if max.is_infinite() {
+        return max;
+    }
+    for x in terms.iter_mut() {
+        *x = (*x - max).exp();
+    }
+    let sum: f64 = index.iter().map(|&i| terms[i as usize]).sum();
+    max + sum.ln()
 }
 
 /// Configuration of the gradient ascent (Algorithm 2).
@@ -176,6 +226,7 @@ mod tests {
     use super::*;
     use coalescent::{CoalescentSimulator, KingmanPrior};
     use mcmc::rng::Mt19937;
+    use rand::RngCore;
 
     fn interval_samples(
         theta: f64,
@@ -186,6 +237,115 @@ mod tests {
         let mut rng = Mt19937::new(seed);
         let sim = CoalescentSimulator::constant(theta).unwrap();
         (0..count).map(|_| sim.simulate(&mut rng, n_tips).unwrap().intervals()).collect()
+    }
+
+    /// The per-sample evaluator `log_relative_likelihood` replaced: one
+    /// log ratio per sample, then `log_sum_exp` over all of them.
+    fn per_sample_log_relative_likelihood(
+        theta0: f64,
+        samples: &[CoalescentIntervals],
+        theta: f64,
+    ) -> f64 {
+        if !(theta > 0.0 && theta.is_finite()) {
+            return f64::NEG_INFINITY;
+        }
+        let driving = KingmanPrior::new(theta0).unwrap();
+        let log_ratios: Vec<f64> = samples
+            .iter()
+            .map(|s| {
+                let lp =
+                    s.n_coalescences() as f64 * (2.0 / theta).ln() - s.waiting_statistic() / theta;
+                lp - driving.log_prior_intervals(s)
+            })
+            .collect();
+        mcmc::logdomain::log_sum_exp(&log_ratios) - (log_ratios.len() as f64).ln()
+    }
+
+    /// `count` draws from `distinct` simulated summaries, chosen uniformly
+    /// with replacement — the duplication a chain's retained draws show.
+    fn duplicated_samples(distinct: usize, count: usize, seed: u32) -> Vec<CoalescentIntervals> {
+        let pool = interval_samples(1.0, 8, distinct, seed);
+        let mut rng = Mt19937::new(seed ^ 0x9e37);
+        (0..count).map(|_| pool[rng.next_u32() as usize % distinct]).collect()
+    }
+
+    fn summary(n_coalescences: usize, waiting_statistic: f64) -> CoalescentIntervals {
+        CoalescentIntervals {
+            n_coalescences,
+            waiting_statistic,
+            depth: 1.0,
+            total_branch_length: 1.0,
+        }
+    }
+
+    #[test]
+    fn grouped_evaluation_is_bit_identical_to_the_per_sample_sum() {
+        for (distinct, count, seed) in [(1, 50, 11), (37, 5_000, 12), (1_400, 20_000, 13)] {
+            let samples = duplicated_samples(distinct, count, seed);
+            for theta0 in [0.3, 1.0, 2.5] {
+                let rl = RelativeLikelihood::new(theta0, &samples).unwrap();
+                assert!(rl.distinct.len() <= distinct);
+                assert_eq!(rl.n_samples(), count);
+                for theta in RelativeLikelihood::log_grid(1e-3, 1e3, 61).into_iter().chain([
+                    theta0,
+                    1e-300,
+                    1e300,
+                    0.0,
+                    -1.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                ]) {
+                    let want = per_sample_log_relative_likelihood(theta0, &samples, theta);
+                    let got = rl.log_relative_likelihood(theta);
+                    assert_eq!(got.to_bits(), want.to_bits(), "θ₀ {theta0}, θ {theta}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_evaluation_keeps_the_infinite_and_nan_cases() {
+        // θ = 1e-300 with W ≥ 1e10: W/θ overflows while ln(2/θ) does not,
+        // so every term is −∞.
+        let large_w = [summary(3, 1e10), summary(3, 1e10), summary(2, 5e12)];
+        // θ = 5e-324: 2/θ overflows; with W = 0 every term is +∞, and with
+        // W > 0 a term is ∞ − ∞ = NaN.
+        let zero_w = [summary(3, 0.0), summary(3, 0.0)];
+        let mixed = [summary(3, 0.0), summary(3, 2.0), summary(3, 0.0)];
+        for (samples, theta, want) in [
+            (&large_w[..], 1e-300, f64::NEG_INFINITY),
+            (&zero_w[..], 5e-324, f64::INFINITY),
+            (&mixed[..], 5e-324, f64::NAN),
+        ] {
+            let rl = RelativeLikelihood::new(1.0, samples).unwrap();
+            let got = rl.log_relative_likelihood(theta);
+            let old = per_sample_log_relative_likelihood(1.0, samples, theta);
+            assert_eq!(got.to_bits(), old.to_bits(), "θ {theta}");
+            assert!(got == want || (got.is_nan() && want.is_nan()), "θ {theta}: {got}");
+        }
+    }
+
+    #[test]
+    fn grouping_leaves_the_maximiser_unchanged() {
+        let samples = duplicated_samples(300, 20_000, 14);
+        for theta0 in [0.2, 1.0, 4.0] {
+            let grouped = RelativeLikelihood::new(theta0, &samples).unwrap();
+            // The same function with every sample its own summary: the
+            // evaluation order of the per-sample sum.
+            let ungrouped = RelativeLikelihood {
+                theta0,
+                distinct: grouped.index.iter().map(|&i| grouped.distinct[i as usize]).collect(),
+                index: (0..samples.len() as u32).collect(),
+            };
+            let config = GradientAscentConfig::default();
+            let a = maximize_relative_likelihood(&grouped, &config);
+            let b = maximize_relative_likelihood(&ungrouped, &config);
+            assert_eq!(a.to_bits(), b.to_bits(), "θ₀ {theta0}: {a} vs {b}");
+            assert_eq!(
+                grouped.log_relative_likelihood(a).to_bits(),
+                per_sample_log_relative_likelihood(theta0, &samples, a).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -452,6 +452,23 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
     Ok(serve)
 }
 
+/// The most chains one serve job may run. A ladder's temperatures are
+/// allocated while the spec is parsed and an ensemble steps one thread per
+/// chain, so an untrusted count must not size either unchecked.
+const MAX_JOB_CHAINS: usize = 256;
+
+/// A job's optional string field, or a pointed error when it has another
+/// type.
+fn job_field_str<'a>(job: &'a Json, key: &str, name: &str) -> Result<Option<&'a str>, String> {
+    match job.get(key) {
+        None => Ok(None),
+        Some(value) => value
+            .as_str()
+            .map(Some)
+            .ok_or_else(|| format!("job {name:?}: {key:?} must be a string")),
+    }
+}
+
 fn job_field_usize(job: &Json, key: &str, default: usize, name: &str) -> Result<usize, String> {
     match job.get(key) {
         None => Ok(default),
@@ -490,7 +507,7 @@ pub fn parse_job_file(
             .as_str()
             .ok_or("job spec: \"backend\" must be a string")?
             .parse::<Backend>()
-            .map_err(|e| format!("job spec: {e}"))?;
+            .map_err(|e| format!("job spec: \"backend\": {e}"))?;
     }
     if let Some(quantum) = doc.get("quantum") {
         config.quantum = quantum
@@ -516,7 +533,7 @@ pub fn parse_job_file(
         .ok_or("job spec: expected a top-level \"jobs\" array")?;
     let mut jobs = Vec::with_capacity(jobs_json.len());
     for (k, job) in jobs_json.iter().enumerate() {
-        let name = match job.get("name").and_then(Json::as_str) {
+        let name = match job_field_str(job, "name", &format!("job-{k}"))? {
             Some(name) => name.to_string(),
             None => format!("job-{k}"),
         };
@@ -538,7 +555,11 @@ pub fn parse_job_file(
         if !(theta.is_finite() && theta > 0.0) {
             return Err(format!("job {name:?}: theta must be finite and > 0, got {theta}"));
         }
-        let dataset = load_dataset(&phylip).map_err(|e| format!("job {name:?}: {e}"))?;
+        if phylip.is_empty() {
+            return Err(format!("job {name:?}: \"phylip\" must list at least one file"));
+        }
+        let dataset =
+            load_dataset(&phylip).map_err(|e| format!("job {name:?}: \"phylip\": {e}"))?;
         let proposals = job_field_usize(job, "proposals", 32, &name)?;
         // Jobs default to the serial backend — the pool supplies the
         // parallelism; per-job "backend" opts into nested dispatch.
@@ -548,7 +569,7 @@ pub fn parse_job_file(
                 .as_str()
                 .ok_or_else(|| format!("job {name:?}: \"backend\" must be a string"))?
                 .parse::<Backend>()
-                .map_err(|e| format!("job {name:?}: {e}"))?;
+                .map_err(|e| format!("job {name:?}: \"backend\": {e}"))?;
         }
         let mpcgs_config = MpcgsConfig {
             initial_theta: theta,
@@ -560,7 +581,7 @@ pub fn parse_job_file(
             backend: job_backend,
             ..MpcgsConfig::default()
         };
-        let strategy = match job.get("strategy").and_then(Json::as_str) {
+        let strategy = match job_field_str(job, "strategy", &name)? {
             None | Some("gmh") => SamplerStrategy::MultiProposal,
             Some("baseline") => SamplerStrategy::Baseline,
             Some(other) => {
@@ -570,12 +591,23 @@ pub fn parse_job_file(
             }
         };
         let chains = job_field_usize(job, "chains", 1, &name)?;
+        if chains > MAX_JOB_CHAINS {
+            return Err(format!(
+                "job {name:?}: \"chains\" must be at most {MAX_JOB_CHAINS}, got {chains}"
+            ));
+        }
         let ensemble = if chains > 1 {
-            let exchange = match job.get("exchange").and_then(Json::as_str) {
+            let hottest = match job.get("hottest") {
+                None => 4.0,
+                Some(value) => value
+                    .as_f64()
+                    .ok_or_else(|| format!("job {name:?}: \"hottest\" must be a number"))?,
+            };
+            let exchange = match job_field_str(job, "exchange", &name)? {
                 None | Some("independent") => ExchangePolicy::Independent,
                 Some("ladder") => ExchangePolicy::geometric_ladder(
                     chains,
-                    job.get("hottest").and_then(Json::as_f64).unwrap_or(4.0),
+                    hottest,
                     job_field_usize(job, "swap_interval", 10, &name)?,
                 )
                 .map_err(|e| format!("job {name:?}: invalid temperature ladder: {e}"))?,

@@ -50,12 +50,13 @@
 //!   memoised in an [`likelihood::EdgeMatrixCache`] keyed on effective
 //!   branch length.
 //! * [`simd`] — the hand-rolled `F64x4` four-lane vector backing
-//!   [`likelihood::Kernel::Simd`], plus the runtime AVX2+FMA dispatch behind
-//!   [`likelihood::Kernel::Auto`].
+//!   [`likelihood::Kernel::Simd`], plus the explicit AVX2+FMA combine loop
+//!   and its runtime dispatch behind [`likelihood::Kernel::Auto`].
 //!
 //! `unsafe` is denied crate-wide; the single, safety-documented exception is
 //! the `simd::dispatch` module, which must call a `#[target_feature]`
-//! function behind a runtime CPUID probe.
+//! function behind a runtime CPUID probe and stores each pattern's vector
+//! with an unaligned 256-bit store.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -307,7 +307,7 @@ impl KernelVariant {
                 out_partials,
                 out_scales,
             ),
-            KernelVariant::Simd => crate::simd::combine_rows_f64x4::<false>(
+            KernelVariant::Simd => crate::simd::combine_rows_f64x4(
                 scale_threshold,
                 ma,
                 mb,
@@ -622,10 +622,6 @@ struct RescoreScratch {
     overlay_partials: Vec<f64>,
     /// Overlay log scales, `[dirty-slot × PATTERN_CHUNK]`.
     overlay_scales: Vec<f64>,
-    /// One node's worth of partials, the combine kernel's output row.
-    partial_row: Vec<f64>,
-    /// One node's worth of scales, the combine kernel's output row.
-    scale_row: Vec<f64>,
 }
 
 impl RescoreScratch {
@@ -641,10 +637,6 @@ impl RescoreScratch {
         if self.overlay_partials.len() < n_dirty * PATTERN_CHUNK * 4 {
             self.overlay_partials.resize(n_dirty * PATTERN_CHUNK * 4, 0.0);
             self.overlay_scales.resize(n_dirty * PATTERN_CHUNK, 0.0);
-        }
-        if self.partial_row.len() < PATTERN_CHUNK * 4 {
-            self.partial_row.resize(PATTERN_CHUNK * 4, 0.0);
-            self.scale_row.resize(PATTERN_CHUNK, 0.0);
         }
     }
 }
@@ -1145,10 +1137,6 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
             scales: vec![0.0; n_nodes * len],
             log_likelihood: 0.0,
         };
-        // Scratch rows reused for every interior node: zero per-pattern and
-        // zero per-node allocation.
-        let mut partial_row = vec![0.0f64; len * 4];
-        let mut scale_row = vec![0.0f64; len];
         for &node in order {
             if let Some(row) = tip_rows[node] {
                 let offset = chunk.partial_offset(node);
@@ -1161,20 +1149,7 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
                 let (a, b) = tree.children(node).expect("interior node");
                 let ma = matrices[a].expect("non-root child has a branch");
                 let mb = matrices[b].expect("non-root child has a branch");
-                self.combine_children_rows(
-                    &ma,
-                    &mb,
-                    &chunk.partials[chunk.partial_offset(a)..chunk.partial_offset(a) + len * 4],
-                    &chunk.partials[chunk.partial_offset(b)..chunk.partial_offset(b) + len * 4],
-                    &chunk.scales[chunk.scale_offset(a)..chunk.scale_offset(a) + len],
-                    &chunk.scales[chunk.scale_offset(b)..chunk.scale_offset(b) + len],
-                    &mut partial_row,
-                    &mut scale_row,
-                );
-                let offset = chunk.partial_offset(node);
-                chunk.partials[offset..offset + len * 4].copy_from_slice(&partial_row);
-                let soffset = chunk.scale_offset(node);
-                chunk.scales[soffset..soffset + len].copy_from_slice(&scale_row);
+                self.combine_in_chunk(&mut chunk, &ma, &mb, node, a, b);
             }
         }
         chunk.log_likelihood = self.chunk_root_log_likelihood(
@@ -1213,6 +1188,24 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
             out_partials,
             out_scales,
         );
+    }
+
+    /// Combine children `a` and `b` of `node` into `node`'s own rows of
+    /// `chunk`, in place: the chunk is split around the parent's row, so
+    /// the children's rows are read where they are stored.
+    fn combine_in_chunk(
+        &self,
+        chunk: &mut PatternChunk,
+        ma: &[[f64; 4]; 4],
+        mb: &[[f64; 4]; 4],
+        node: NodeId,
+        a: NodeId,
+        b: NodeId,
+    ) {
+        let width = chunk.len * 4;
+        let (pa, pb, out_partials) = rows_around(&mut chunk.partials, width, node, a, b);
+        let (sa, sb, out_scales) = rows_around(&mut chunk.scales, chunk.len, node, a, b);
+        self.combine_children_rows(ma, mb, pa, pb, sa, sb, out_partials, out_scales);
     }
 
     /// Weighted `ln P(D|G)` contribution of one chunk given the root's
@@ -1287,29 +1280,40 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
             debug_assert!(scratch.dirty_mark[root], "the dirty path always reaches the root");
             let mut total = 0.0;
             {
-                // Split the scratch into its independent buffers so the
-                // overlay can be read (children) and written (parent) without
-                // aliasing the output rows.
+                // Split the scratch into its independent buffers. The dirty
+                // set is ordered children-first, so every dirty child's
+                // overlay slot precedes its parent's: splitting the overlay
+                // at the parent's slot separates the rows the combine reads
+                // from the slot it writes, and the kernel writes the parent
+                // straight into its overlay slot.
                 let RescoreScratch {
                     dirty,
                     dirty_index,
                     matrices,
                     overlay_partials,
                     overlay_scales,
-                    partial_row,
-                    scale_row,
                     ..
                 } = scratch;
                 for chunk in &workspace.chunks {
                     let len = chunk.len;
                     for (di, &(_, node)) in dirty.iter().enumerate() {
                         let (a, b) = proposal.children(node).expect("dirty nodes are interior");
+                        debug_assert!(
+                            [a, b]
+                                .iter()
+                                .all(|&c| dirty_index[c] == usize::MAX || dirty_index[c] < di),
+                            "dirty children precede their parent"
+                        );
                         let ma = matrices[a].expect("children of dirty nodes have matrices");
                         let mb = matrices[b].expect("children of dirty nodes have matrices");
+                        let (done_partials, slot_partials) =
+                            overlay_partials.split_at_mut(di * PATTERN_CHUNK * 4);
+                        let (done_scales, slot_scales) =
+                            overlay_scales.split_at_mut(di * PATTERN_CHUNK);
                         let (pa, sa) =
-                            read_rows(chunk, overlay_partials, overlay_scales, dirty_index, a, len);
+                            read_rows(chunk, done_partials, done_scales, dirty_index, a, len);
                         let (pb, sb) =
-                            read_rows(chunk, overlay_partials, overlay_scales, dirty_index, b, len);
+                            read_rows(chunk, done_partials, done_scales, dirty_index, b, len);
                         self.combine_children_rows(
                             &ma,
                             &mb,
@@ -1317,13 +1321,9 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
                             pb,
                             sa,
                             sb,
-                            &mut partial_row[..len * 4],
-                            &mut scale_row[..len],
+                            &mut slot_partials[..len * 4],
+                            &mut slot_scales[..len],
                         );
-                        overlay_partials[di * PATTERN_CHUNK * 4..di * PATTERN_CHUNK * 4 + len * 4]
-                            .copy_from_slice(&partial_row[..len * 4]);
-                        overlay_scales[di * PATTERN_CHUNK..di * PATTERN_CHUNK + len]
-                            .copy_from_slice(&scale_row[..len]);
                     }
                     let root_slot = dirty_index[root];
                     total += self.chunk_root_log_likelihood(
@@ -1390,28 +1390,14 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
                 Some(&cache.workspace.edge_matrices),
                 scratch,
             );
-            let RescoreScratch { dirty, matrices, partial_row, scale_row, .. } = &mut *scratch;
+            let RescoreScratch { dirty, matrices, .. } = &mut *scratch;
             for chunk in &mut cache.workspace.chunks {
                 let len = chunk.len;
                 for &(_, node) in dirty.iter() {
                     let (a, b) = accepted.children(node).expect("dirty nodes are interior");
                     let ma = matrices[a].expect("children of dirty nodes have matrices");
                     let mb = matrices[b].expect("children of dirty nodes have matrices");
-                    self.combine_children_rows(
-                        &ma,
-                        &mb,
-                        &chunk.partials[chunk.partial_offset(a)..chunk.partial_offset(a) + len * 4],
-                        &chunk.partials[chunk.partial_offset(b)..chunk.partial_offset(b) + len * 4],
-                        &chunk.scales[chunk.scale_offset(a)..chunk.scale_offset(a) + len],
-                        &chunk.scales[chunk.scale_offset(b)..chunk.scale_offset(b) + len],
-                        &mut partial_row[..len * 4],
-                        &mut scale_row[..len],
-                    );
-                    let offset = chunk.partial_offset(node);
-                    chunk.partials[offset..offset + len * 4]
-                        .copy_from_slice(&partial_row[..len * 4]);
-                    let soffset = chunk.scale_offset(node);
-                    chunk.scales[soffset..soffset + len].copy_from_slice(&scale_row[..len]);
+                    self.combine_in_chunk(chunk, &ma, &mb, node, a, b);
                 }
                 chunk.log_likelihood = self.chunk_root_log_likelihood(
                     &chunk.partials[chunk.partial_offset(accepted.root())..],
@@ -1497,6 +1483,29 @@ fn combine_children_rows_scalar(
         out_partials[p * 4..p * 4 + 4].copy_from_slice(&vec);
         out_scales[p] = scale;
     }
+}
+
+/// Split a buffer of `width`-element rows, one per node, into shared
+/// borrows of rows `a` and `b` and an exclusive borrow of row `target`
+/// (which must differ from both).
+fn rows_around(
+    buf: &mut [f64],
+    width: usize,
+    target: NodeId,
+    a: NodeId,
+    b: NodeId,
+) -> (&[f64], &[f64], &mut [f64]) {
+    let (before, rest) = buf.split_at_mut(target * width);
+    let (out, after) = rest.split_at_mut(width);
+    let (before, after) = (&*before, &*after);
+    let row = |node: NodeId| -> &[f64] {
+        if node < target {
+            &before[node * width..(node + 1) * width]
+        } else {
+            &after[(node - target - 1) * width..(node - target) * width]
+        }
+    };
+    (row(a), row(b), out)
 }
 
 /// Borrow node `node`'s partial and scale rows for `len` patterns, from the
@@ -2476,6 +2485,71 @@ mod tests {
             active.push(b.join(x, y, height));
         }
         (alignment, b.build().unwrap())
+    }
+
+    /// `tree` with every node time multiplied by `factor`.
+    fn rescaled_times(tree: &GeneTree, factor: f64) -> GeneTree {
+        let mut out = tree.clone();
+        for node in 0..tree.n_nodes() {
+            out.set_time(node, tree.time(node) * factor);
+        }
+        out.validate().unwrap();
+        out
+    }
+
+    #[test]
+    fn batched_rescores_are_bit_identical_to_single_rescores_and_full_prunes() {
+        // 16 tips over 1500 random sites; the deep variant shrinks every
+        // branch to ~1e-13, so each mismatch costs a factor ~1e-13 and the
+        // partials of the upper nodes fall below the rescale threshold.
+        // Steps stay under the smallest gap between node times.
+        let (alignment, tree) = random_fixture(0x1500, 16, 1500);
+        let deep = rescaled_times(&tree, 1e-12);
+        for (label, tree, step) in [("shallow", &tree, 1e-4), ("deep", &deep, 2e-16)] {
+            let targets = tree.non_root_internal_nodes();
+            let edits: Vec<(GeneTree, Vec<NodeId>)> = (0..32)
+                .map(|i| perturb(tree, targets[i % targets.len()], step * (i + 1) as f64))
+                .collect();
+            let proposals: Vec<TreeProposal<'_>> =
+                edits.iter().map(|(t, e)| TreeProposal { tree: t, edited: e }).collect();
+            for kernel in [Kernel::Scalar, Kernel::Simd, Kernel::Auto] {
+                let pruner = FelsensteinPruner::new(&alignment, Jc69::new()).with_kernel(kernel);
+                let workspace = pruner.build_workspace(Backend::Serial, tree).unwrap();
+                let rescaled = workspace.chunks.iter().any(|c| c.scales.iter().any(|&x| x != 0.0));
+                assert_eq!(rescaled, label == "deep", "{label}: rescale path taken");
+
+                // The first batch builds the generator workspace; the second
+                // reuses it, so its counters cover the rescores alone.
+                pruner.log_likelihood_batch(Backend::Serial, tree, &proposals).unwrap();
+                let batch = pruner.log_likelihood_batch(Backend::Serial, tree, &proposals).unwrap();
+                let parallel =
+                    pruner.log_likelihood_batch(Backend::Rayon, tree, &proposals).unwrap();
+                assert!(batch.generator_cache_hit);
+                assert_eq!(batch, parallel, "{label}, {kernel}");
+                assert_eq!(
+                    batch.generator_log_likelihood.to_bits(),
+                    workspace.log_likelihood().to_bits()
+                );
+
+                let (mut nodes, mut hits, mut misses) = (0, 0, 0);
+                for ((proposal, edited), &batched) in edits.iter().zip(&batch.log_likelihoods) {
+                    let single =
+                        pruner.rescore_with_workspace(&workspace, proposal, edited).unwrap();
+                    let full = pruner.build_workspace(Backend::Serial, proposal).unwrap();
+                    assert_eq!(batched.to_bits(), single.log_likelihood.to_bits(), "{label}");
+                    assert_eq!(batched.to_bits(), full.log_likelihood().to_bits(), "{label}");
+                    assert!(batched.is_finite());
+                    nodes += single.nodes_repruned;
+                    hits += single.matrix_cache_hits;
+                    misses += single.matrix_cache_misses;
+                }
+                assert_eq!(
+                    (batch.nodes_repruned, batch.matrix_cache_hits, batch.matrix_cache_misses),
+                    (nodes, hits, misses),
+                    "{label}, {kernel}"
+                );
+            }
+        }
     }
 
     /// `|a - b|` within `tol` relative to the larger magnitude.

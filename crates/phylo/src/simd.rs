@@ -1,5 +1,5 @@
 //! A hand-rolled four-lane `f64` vector for the explicit-SIMD likelihood
-//! kernel.
+//! kernel, and the one explicit AVX2+FMA combine loop.
 //!
 //! The build environment is offline and the workspace compiles on stable
 //! Rust, so neither `std::simd` (nightly) nor an external SIMD crate is
@@ -7,8 +7,10 @@
 //! wrapper over `[f64; 4]` whose lane-wise operations are written as fixed
 //! four-iteration loops that LLVM lowers to vector instructions for whatever
 //! width the target offers (two 128-bit ops under baseline SSE2, one 256-bit
-//! op under AVX). No `unsafe`, no intrinsics, no platform gates — the same
-//! source is correct everywhere and fast wherever the backend can vectorise.
+//! op under AVX). `F64x4` uses no `unsafe`, no intrinsics and no platform
+//! gates — the same source is correct everywhere and backs
+//! [`likelihood::Kernel::Simd`](crate::likelihood::Kernel::Simd) and the
+//! non-AVX2 fallback of [`likelihood::Kernel::Auto`](crate::likelihood::Kernel::Auto).
 //!
 //! The only operation with a semantic choice is [`F64x4::mul_add`]: when the
 //! target guarantees hardware FMA (`target_feature = "fma"`) it contracts to
@@ -17,15 +19,22 @@
 //! per lane and would be dramatically *slower* than the scalar kernel.
 //!
 //! The `dispatch` module closes the gap between that compile-time choice
-//! and the hardware the binary actually lands on: the combine loop is
-//! compiled a second time inside a `#[target_feature(enable = "avx2,fma")]`
-//! function (with the fused multiply–add forced on), and
+//! and the hardware the binary actually lands on. It holds the combine loop
+//! written out with `std::arch` AVX2+FMA intrinsics inside a
+//! `#[target_feature(enable = "avx2,fma")]` function, and
 //! [`likelihood::Kernel::Auto`](crate::likelihood::Kernel::Auto) routes to it
-//! after probing the CPU at runtime — so a default build reaches the same
-//! 256-bit FMA code path a `RUSTFLAGS="-C target-feature=+avx2,+fma"` build
-//! gets statically. That module is the one place in the crate allowed to use
-//! `unsafe` (calling a `#[target_feature]` function), guarded by the runtime
-//! probe.
+//! after probing the CPU at runtime. The loop is explicit rather than the
+//! generic `F64x4` loop recompiled with those features because LLVM
+//! vectorised the generic form *across* patterns — it splatted all 32
+//! matrix entries into separate registers, spilled them to the stack and
+//! transposed pattern rows — instead of one pattern per vector. The
+//! explicit loop keeps the four matrix columns in registers and spends four
+//! broadcasts, one multiply and three FMAs per child and pattern, with
+//! exactly the per-lane arithmetic of the fused `F64x4` form, so its output
+//! is bit-identical to that form at about 1.6× its speed. `dispatch` is the
+//! one place in the crate allowed to use `unsafe`: the call into the
+//! `#[target_feature]` function, guarded by the runtime probe, and the
+//! unaligned vector store.
 //!
 //! Four lanes is exactly one conditional-likelihood vector (one probability
 //! per nucleotide), which is why the structure-of-arrays
@@ -80,24 +89,6 @@ impl F64x4 {
         }
     }
 
-    /// `self * b + c`, lane-wise, *always* fused. Only reachable from code
-    /// compiled with hardware FMA in scope (the `dispatch` module's
-    /// `#[target_feature]` variant of the combine loop), where `f64::mul_add`
-    /// lowers to one `vfmadd` instruction rather than a libm call. The
-    /// `cfg(target_feature)` test used by [`F64x4::mul_add`] reflects the
-    /// *crate-wide* codegen options, not the enclosing function's
-    /// `#[target_feature]` attributes, which is why this explicit variant
-    /// exists.
-    #[inline(always)]
-    pub fn fused_mul_add(self, b: F64x4, c: F64x4) -> F64x4 {
-        F64x4([
-            self.0[0].mul_add(b.0[0], c.0[0]),
-            self.0[1].mul_add(b.0[1], c.0[1]),
-            self.0[2].mul_add(b.0[2], c.0[2]),
-            self.0[3].mul_add(b.0[3], c.0[3]),
-        ])
-    }
-
     /// The largest lane (the per-pattern magnitude the rescaling check
     /// inspects).
     #[inline(always)]
@@ -130,39 +121,24 @@ impl F64x4 {
         acc = cols[2].mul_add(F64x4::splat(p[2]), acc);
         cols[3].mul_add(F64x4::splat(p[3]), acc)
     }
-
-    /// [`F64x4::mat_vec`] with the accumulation forced through
-    /// [`F64x4::fused_mul_add`]; same `y = 0..4` order. For use inside the
-    /// `dispatch` module's `#[target_feature]` combine loop only.
-    #[inline(always)]
-    pub fn mat_vec_fma(cols: &[F64x4; 4], p: &[f64]) -> F64x4 {
-        let mut acc = cols[0] * F64x4::splat(p[0]);
-        acc = cols[1].fused_mul_add(F64x4::splat(p[1]), acc);
-        acc = cols[2].fused_mul_add(F64x4::splat(p[2]), acc);
-        cols[3].fused_mul_add(F64x4::splat(p[3]), acc)
-    }
 }
 
-/// The explicit four-lane combine loop shared by `Kernel::Simd` and the
-/// runtime-dispatched AVX2+FMA variant: the transition matrices are
+/// The portable four-lane combine loop behind `Kernel::Simd` and the
+/// non-AVX2 fallback of the runtime dispatch: the transition matrices are
 /// transposed to column-major once per node, turning each matrix–vector
 /// product into four broadcast multiply–adds with no horizontal reduction.
 /// The underflow rescale is *hoisted out of the hot loop*: the main pass is
 /// branch-free (it only records whether any pattern's magnitude fell below
-/// the threshold), and the rare rescaling pass re-reads the stored rows and
-/// applies exactly the scalar kernel's per-pattern renormalisation — so the
-/// two-pass structure changes no values, only control flow. Numerically the
-/// kernel reassociates the matrix–vector products (and contracts them to
-/// fused multiply–adds when `FUSED`, or when the whole crate is compiled
-/// with `target_feature = "fma"`), so results match the scalar kernel to
-/// ≤1e-12 relative tolerance rather than bit-exactly.
-///
-/// `FUSED` selects [`F64x4::mat_vec_fma`] over [`F64x4::mat_vec`]; it is
-/// only set by the `dispatch` module, whose `#[target_feature]` context
-/// makes the fused form a hardware instruction.
+/// the threshold), and the rare rescaling pass ([`rescale_rows`]) re-reads
+/// the stored rows and applies exactly the scalar kernel's per-pattern
+/// renormalisation — so the two-pass structure changes no values, only
+/// control flow. Numerically the kernel reassociates the matrix–vector
+/// products (and contracts them to fused multiply–adds when the whole crate
+/// is compiled with `target_feature = "fma"`), so results match the scalar
+/// kernel to ≤1e-12 relative tolerance rather than bit-exactly.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn combine_rows_f64x4<const FUSED: bool>(
+pub(crate) fn combine_rows_f64x4(
     scale_threshold: f64,
     ma: &[[f64; 4]; 4],
     mb: &[[f64; 4]; 4],
@@ -178,14 +154,8 @@ pub(crate) fn combine_rows_f64x4<const FUSED: bool>(
     let len = out_scales.len();
     let mut needs_rescale = false;
     for p in 0..len {
-        let (va, vb) = if FUSED {
-            (
-                F64x4::mat_vec_fma(&ca, &pa[p * 4..p * 4 + 4]),
-                F64x4::mat_vec_fma(&cb, &pb[p * 4..p * 4 + 4]),
-            )
-        } else {
-            (F64x4::mat_vec(&ca, &pa[p * 4..p * 4 + 4]), F64x4::mat_vec(&cb, &pb[p * 4..p * 4 + 4]))
-        };
+        let va = F64x4::mat_vec(&ca, &pa[p * 4..p * 4 + 4]);
+        let vb = F64x4::mat_vec(&cb, &pb[p * 4..p * 4 + 4]);
         let v = va * vb;
         let max = v.max_element();
         needs_rescale |= max > 0.0 && max < scale_threshold;
@@ -193,26 +163,49 @@ pub(crate) fn combine_rows_f64x4<const FUSED: bool>(
         out_scales[p] = sa[p] + sb[p];
     }
     if needs_rescale {
-        for p in 0..len {
-            let v = F64x4::from_slice(&out_partials[p * 4..p * 4 + 4]);
-            let max = v.max_element();
-            if max > 0.0 && max < scale_threshold {
-                (v / F64x4::splat(max)).write_to(&mut out_partials[p * 4..p * 4 + 4]);
-                out_scales[p] += max.ln();
-            }
+        rescale_rows(scale_threshold, out_partials, out_scales);
+    }
+}
+
+/// The exact second pass shared by both four-lane loops: every pattern of
+/// the first `out_scales.len()` whose largest lane lies in
+/// `(0, scale_threshold)` is divided by that lane and the lane's `ln` is
+/// added to its scale — the scalar kernel's per-pattern renormalisation.
+/// The first passes only decide whether this runs; patterns outside the
+/// range are left untouched, so a superset test there changes no value.
+fn rescale_rows(scale_threshold: f64, out_partials: &mut [f64], out_scales: &mut [f64]) {
+    for (p, scale) in out_scales.iter_mut().enumerate() {
+        let v = F64x4::from_slice(&out_partials[p * 4..p * 4 + 4]);
+        let max = v.max_element();
+        if max > 0.0 && max < scale_threshold {
+            (v / F64x4::splat(max)).write_to(&mut out_partials[p * 4..p * 4 + 4]);
+            *scale += max.ln();
         }
     }
 }
 
-/// Runtime CPU dispatch for the combine loop: the one place in the crate
-/// where `unsafe` is permitted, because calling a `#[target_feature]`
-/// function requires an unsafe block whose soundness obligation — "the
-/// features the callee was compiled for are present on this CPU" — is
-/// discharged by the [`avx2_fma_supported`] probe.
+/// Runtime CPU dispatch for the combine loop, and the explicit AVX2+FMA
+/// loop it dispatches to: the one place in the crate where `unsafe` is
+/// permitted. Calling a `#[target_feature]` function from code compiled
+/// without those features requires an unsafe block whose soundness
+/// obligation — "the features the callee was compiled for are present on
+/// this CPU" — is discharged by the [`avx2_fma_supported`] probe; inside
+/// the loop, the 256-bit unaligned store takes a raw pointer.
 ///
 /// [`avx2_fma_supported`]: dispatch::avx2_fma_supported
 #[allow(unsafe_code)]
 pub(crate) mod dispatch {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    use arch::{
+        __m256d, _mm256_and_pd, _mm256_broadcast_sd, _mm256_cmp_pd, _mm256_fmadd_pd,
+        _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd, _mm256_setr_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _CMP_GT_OQ, _CMP_LT_OQ,
+    };
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86 as arch;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64 as arch;
+
     /// Whether this CPU supports both AVX2 and FMA (always `false` off
     /// x86/x86-64). `std` caches the CPUID probe, so calling this per
     /// kernel invocation costs one relaxed atomic load.
@@ -229,13 +222,43 @@ pub(crate) mod dispatch {
         }
     }
 
-    /// The combine loop compiled for AVX2+FMA: every `F64x4` op becomes one
-    /// 256-bit instruction and every multiply–add one `vfmadd`, regardless
-    /// of the crate-wide codegen baseline.
+    /// The four columns of a row-major 4×4 matrix as 256-bit vectors, lane
+    /// `x` of column `y` holding `matrix[x][y]` (the layout of
+    /// [`F64x4::columns`](super::F64x4::columns)).
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    fn columns(matrix: &[[f64; 4]; 4]) -> [__m256d; 4] {
+        let column =
+            |y: usize| _mm256_setr_pd(matrix[0][y], matrix[1][y], matrix[2][y], matrix[3][y]);
+        [column(0), column(1), column(2), column(3)]
+    }
+
+    /// `M·p` for one pattern: a multiply by the broadcast `p[0]`, then a
+    /// fused multiply–add per remaining entry, accumulated in `y = 0..4`
+    /// order — per lane, `fma(c3, p3, fma(c2, p2, fma(c1, p1, c0 · p0)))`.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    fn mat_vec(cols: &[__m256d; 4], p: &[f64]) -> __m256d {
+        let mut acc = _mm256_mul_pd(cols[0], _mm256_broadcast_sd(&p[0]));
+        acc = _mm256_fmadd_pd(cols[1], _mm256_broadcast_sd(&p[1]), acc);
+        acc = _mm256_fmadd_pd(cols[2], _mm256_broadcast_sd(&p[2]), acc);
+        _mm256_fmadd_pd(cols[3], _mm256_broadcast_sd(&p[3]), acc)
+    }
+
+    /// The combine loop for AVX2+FMA hosts, one pattern per 256-bit vector:
+    /// per pattern and child a broadcast multiply and three FMAs, one
+    /// multiply for the Hadamard product and one unaligned store. Rescale
+    /// detection is a vector compare that accumulates "some lane lies in
+    /// `(0, threshold)`", a superset of the exact per-pattern test "the
+    /// largest lane lies in `(0, threshold)`"; it only decides whether the
+    /// exact second pass ([`super::rescale_rows`]) runs. Output is
+    /// bit-identical to the `F64x4` loop with every multiply–add fused.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn combine_rows_avx2_fma_impl(
+    fn combine_rows_avx2_fma_impl(
         scale_threshold: f64,
         ma: &[[f64; 4]; 4],
         mb: &[[f64; 4]; 4],
@@ -246,17 +269,35 @@ pub(crate) mod dispatch {
         out_partials: &mut [f64],
         out_scales: &mut [f64],
     ) {
-        super::combine_rows_f64x4::<true>(
-            scale_threshold,
-            ma,
-            mb,
-            pa,
-            pb,
-            sa,
-            sb,
-            out_partials,
-            out_scales,
-        );
+        let len = out_scales.len();
+        let ca = columns(ma);
+        let cb = columns(mb);
+        let zero = _mm256_setzero_pd();
+        let threshold = _mm256_set1_pd(scale_threshold);
+        let mut tiny = _mm256_setzero_pd();
+        let rows = out_partials[..len * 4]
+            .chunks_exact_mut(4)
+            .zip(pa[..len * 4].chunks_exact(4))
+            .zip(pb[..len * 4].chunks_exact(4));
+        for ((out, a), b) in rows {
+            let v = _mm256_mul_pd(mat_vec(&ca, a), mat_vec(&cb, b));
+            let in_range = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(v, zero),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(v, threshold),
+            );
+            tiny = _mm256_or_pd(tiny, in_range);
+            // SAFETY: `out` is one chunk of `chunks_exact_mut(4)`, so it is
+            // exactly four contiguous, initialised, exclusively borrowed
+            // `f64`s: the 32-byte unaligned store writes inside it and
+            // nowhere else.
+            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        }
+        for ((scale, &a), &b) in out_scales.iter_mut().zip(&sa[..len]).zip(&sb[..len]) {
+            *scale = a + b;
+        }
+        if _mm256_movemask_pd(tiny) != 0 {
+            super::rescale_rows(scale_threshold, out_partials, out_scales);
+        }
     }
 
     /// Safe entry point for the AVX2+FMA combine loop. Re-checks the CPU
@@ -297,7 +338,7 @@ pub(crate) mod dispatch {
             }
             return;
         }
-        super::combine_rows_f64x4::<false>(
+        super::combine_rows_f64x4(
             scale_threshold,
             ma,
             mb,
@@ -308,6 +349,188 @@ pub(crate) mod dispatch {
             out_partials,
             out_scales,
         );
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::F64x4;
+        use super::{avx2_fma_supported, combine_rows_avx2_fma};
+
+        /// `a * b + c` lane-wise, always fused (the deleted
+        /// `F64x4::fused_mul_add`).
+        fn fused_mul_add(a: F64x4, b: F64x4, c: F64x4) -> F64x4 {
+            F64x4([
+                a.0[0].mul_add(b.0[0], c.0[0]),
+                a.0[1].mul_add(b.0[1], c.0[1]),
+                a.0[2].mul_add(b.0[2], c.0[2]),
+                a.0[3].mul_add(b.0[3], c.0[3]),
+            ])
+        }
+
+        /// `M·p` through [`fused_mul_add`] in `y = 0..4` order (the deleted
+        /// `F64x4::mat_vec_fma`).
+        fn mat_vec_fma(cols: &[F64x4; 4], p: &[f64]) -> F64x4 {
+            let mut acc = cols[0] * F64x4::splat(p[0]);
+            acc = fused_mul_add(cols[1], F64x4::splat(p[1]), acc);
+            acc = fused_mul_add(cols[2], F64x4::splat(p[2]), acc);
+            fused_mul_add(cols[3], F64x4::splat(p[3]), acc)
+        }
+
+        /// The fused arm of the former generic four-lane loop, verbatim: the
+        /// reference the explicit loop must match bit for bit.
+        #[allow(clippy::too_many_arguments)]
+        fn combine_rows_f64x4_fused(
+            scale_threshold: f64,
+            ma: &[[f64; 4]; 4],
+            mb: &[[f64; 4]; 4],
+            pa: &[f64],
+            pb: &[f64],
+            sa: &[f64],
+            sb: &[f64],
+            out_partials: &mut [f64],
+            out_scales: &mut [f64],
+        ) {
+            let ca = F64x4::columns(ma);
+            let cb = F64x4::columns(mb);
+            let len = out_scales.len();
+            let mut needs_rescale = false;
+            for p in 0..len {
+                let (va, vb) = (
+                    mat_vec_fma(&ca, &pa[p * 4..p * 4 + 4]),
+                    mat_vec_fma(&cb, &pb[p * 4..p * 4 + 4]),
+                );
+                let v = va * vb;
+                let max = v.max_element();
+                needs_rescale |= max > 0.0 && max < scale_threshold;
+                v.write_to(&mut out_partials[p * 4..p * 4 + 4]);
+                out_scales[p] = sa[p] + sb[p];
+            }
+            if needs_rescale {
+                for p in 0..len {
+                    let v = F64x4::from_slice(&out_partials[p * 4..p * 4 + 4]);
+                    let max = v.max_element();
+                    if max > 0.0 && max < scale_threshold {
+                        (v / F64x4::splat(max)).write_to(&mut out_partials[p * 4..p * 4 + 4]);
+                        out_scales[p] += max.ln();
+                    }
+                }
+            }
+        }
+
+        /// SplitMix64 stream, uniform in `[0, 1)`.
+        struct Uniform(u64);
+
+        impl Uniform {
+            fn next(&mut self) -> f64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+            }
+        }
+
+        /// A 4×4 matrix with entries in `[0.01, 1.01)`.
+        fn matrix(rng: &mut Uniform) -> [[f64; 4]; 4] {
+            let mut m = [[0.0; 4]; 4];
+            for row in &mut m {
+                for entry in row.iter_mut() {
+                    *entry = 0.01 + rng.next();
+                }
+            }
+            m
+        }
+
+        /// How a test row's entries are drawn.
+        #[derive(Debug, Clone, Copy)]
+        enum Rows {
+            /// Probabilities in `[0, 1)`.
+            Unit,
+            /// Magnitudes near `1e-60`: every product falls below `1e-100`
+            /// and takes the rescale pass.
+            Deep,
+            /// Every fourth pattern deep, the rest unit: the rescale pass
+            /// runs and must leave the unit patterns alone.
+            Mixed,
+            /// All zeros.
+            Zero,
+            /// Subnormal magnitudes (products flush to zero or stay tiny).
+            Subnormal,
+            /// Unit rows with one NaN lane in pattern 1.
+            NanLane,
+        }
+
+        fn rows(rng: &mut Uniform, kind: Rows, len: usize) -> Vec<f64> {
+            (0..len * 4)
+                .map(|i| {
+                    let u = rng.next();
+                    match kind {
+                        Rows::Unit => u,
+                        Rows::Deep => 1e-60 * (0.5 + u),
+                        Rows::Mixed if (i / 4) % 4 == 0 => 1e-60 * (0.5 + u),
+                        Rows::Mixed => u,
+                        Rows::Zero => 0.0,
+                        Rows::Subnormal => f64::MIN_POSITIVE * 1e-3 * u,
+                        Rows::NanLane if i == 6 => f64::NAN,
+                        Rows::NanLane => u,
+                    }
+                })
+                .collect()
+        }
+
+        #[test]
+        fn explicit_loop_is_bit_identical_to_the_fused_f64x4_loop() {
+            if !avx2_fma_supported() {
+                eprintln!("skipping: this CPU lacks AVX2/FMA, so the explicit loop cannot run");
+                return;
+            }
+            let mut rng = Uniform(0x5EED_2017);
+            let kinds =
+                [Rows::Unit, Rows::Deep, Rows::Mixed, Rows::Zero, Rows::Subnormal, Rows::NanLane];
+            for len in [0, 1, 3, 142, 255, 256] {
+                for kind in kinds {
+                    let (ma, mb) = (matrix(&mut rng), matrix(&mut rng));
+                    let pa = rows(&mut rng, kind, len);
+                    // The second child stays finite, so a NaN lane has one
+                    // source and one payload.
+                    let pb = rows(
+                        &mut rng,
+                        if matches!(kind, Rows::NanLane) { Rows::Unit } else { kind },
+                        len,
+                    );
+                    let sa: Vec<f64> = (0..len).map(|_| -50.0 * rng.next()).collect();
+                    let sb: Vec<f64> = (0..len).map(|_| -50.0 * rng.next()).collect();
+                    let mut want_p = vec![0.0; len * 4];
+                    let mut want_s = vec![0.0; len];
+                    combine_rows_f64x4_fused(
+                        1e-100,
+                        &ma,
+                        &mb,
+                        &pa,
+                        &pb,
+                        &sa,
+                        &sb,
+                        &mut want_p,
+                        &mut want_s,
+                    );
+                    // Stale values in the output must not leak through.
+                    let mut got_p = vec![7.0; len * 4];
+                    let mut got_s = vec![7.0; len];
+                    combine_rows_avx2_fma(
+                        1e-100, &ma, &mb, &pa, &pb, &sa, &sb, &mut got_p, &mut got_s,
+                    );
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got_p), bits(&want_p), "partials, {kind:?} rows, len {len}");
+                    assert_eq!(bits(&got_s), bits(&want_s), "scales, {kind:?} rows, len {len}");
+                    if matches!(kind, Rows::Deep) && len > 0 {
+                        assert!(got_s.iter().zip(&sa).zip(&sb).all(|((&s, &a), &b)| s < a + b));
+                    }
+                    if matches!(kind, Rows::NanLane) && len > 1 {
+                        assert!(got_p[4..8].iter().all(|x| x.is_nan()));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -408,7 +631,7 @@ mod tests {
         let sb = vec![0.0; len];
         let mut base_p = vec![0.0; len * 4];
         let mut base_s = vec![0.0; len];
-        combine_rows_f64x4::<false>(1e-100, &ma, &mb, &pa, &pb, &sa, &sb, &mut base_p, &mut base_s);
+        combine_rows_f64x4(1e-100, &ma, &mb, &pa, &pb, &sa, &sb, &mut base_p, &mut base_s);
         let mut disp_p = vec![0.0; len * 4];
         let mut disp_s = vec![0.0; len];
         dispatch::combine_rows_avx2_fma(
