@@ -6,9 +6,6 @@
 //! * [`kingman`] — the Kingman coalescent prior `P(G|θ)` of Eq. 17–18 and its
 //!   analytic expectations, used both by the samplers (posterior term) and by
 //!   the tests that validate them.
-//! * [`wright_fisher`] — a discrete-generation Wright–Fisher drift simulator
-//!   (Eq. 14–16): binomial resampling of allele counts, fixation, and
-//!   heterozygosity decay.
 //! * [`demography`] — population-size histories (constant, exponential
 //!   growth) expressed through the time-rescaling of the coalescent.
 //! * [`tree_sim`] — a coalescent genealogy simulator standing in for Hudson's
@@ -25,11 +22,9 @@ pub mod error;
 pub mod kingman;
 pub mod seq_sim;
 pub mod tree_sim;
-pub mod wright_fisher;
 
 pub use demography::Demography;
 pub use error::CoalescentError;
 pub use kingman::KingmanPrior;
 pub use seq_sim::SequenceSimulator;
 pub use tree_sim::CoalescentSimulator;
-pub use wright_fisher::WrightFisher;

@@ -1,63 +1,8 @@
-//! Chain schedules and traces.
+//! Chain traces.
 //!
-//! A [`ChainSchedule`] describes how long a chain runs, how many of its first
-//! transitions are discarded as burn-in (Section 2.3), and how aggressively
-//! the post-burn-in states are thinned. A [`Trace`] stores scalar summaries
-//! of the visited states for diagnostics and plotting (the burn-in trace of
-//! Figure 2 is produced from one).
-
-use crate::error::McmcError;
-
-/// How a Markov chain run is scheduled: burn-in, retained samples, thinning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainSchedule {
-    /// Number of initial transitions discarded (the burn-in period `B`).
-    pub burn_in: usize,
-    /// Number of samples retained after burn-in (`N`).
-    pub samples: usize,
-    /// Keep every `thinning`-th post-burn-in state (1 = keep all).
-    pub thinning: usize,
-}
-
-impl ChainSchedule {
-    /// Create a schedule, validating that it will produce at least one sample.
-    pub fn new(burn_in: usize, samples: usize, thinning: usize) -> Result<Self, McmcError> {
-        if samples == 0 {
-            return Err(McmcError::InvalidSchedule { reason: "samples must be > 0".into() });
-        }
-        if thinning == 0 {
-            return Err(McmcError::InvalidSchedule { reason: "thinning must be >= 1".into() });
-        }
-        Ok(ChainSchedule { burn_in, samples, thinning })
-    }
-
-    /// Total number of Markov transitions the schedule requires
-    /// (`B + N * thinning`).
-    pub fn total_transitions(&self) -> usize {
-        self.burn_in + self.samples * self.thinning
-    }
-
-    /// The idealised parallel cost `B + N/P` of Section 3 / Figure 6 for the
-    /// multi-chain work-around: each of `p` chains pays the full burn-in but
-    /// only `N/P` of the sampling work.
-    pub fn multichain_cost(&self, p: usize) -> f64 {
-        assert!(p > 0, "processor count must be positive");
-        self.burn_in as f64 + (self.samples * self.thinning) as f64 / p as f64
-    }
-
-    /// The idealised cost when the burn-in itself is parallelised, i.e. the
-    /// generalized-MH scheme: `(B + N)/P`.
-    pub fn parallel_burnin_cost(&self, p: usize) -> f64 {
-        assert!(p > 0, "processor count must be positive");
-        self.total_transitions() as f64 / p as f64
-    }
-}
-
-impl Default for ChainSchedule {
-    fn default() -> Self {
-        ChainSchedule { burn_in: 1_000, samples: 10_000, thinning: 1 }
-    }
-}
+//! A [`Trace`] stores scalar summaries of the visited states for diagnostics
+//! and plotting (the burn-in trace of Figure 2 is produced from one); its
+//! first `burn_in` values belong to the burn-in period (Section 2.3).
 
 /// A recorded trace of scalar chain statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -142,41 +87,6 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_validation() {
-        assert!(ChainSchedule::new(10, 100, 1).is_ok());
-        assert!(matches!(ChainSchedule::new(10, 0, 1), Err(McmcError::InvalidSchedule { .. })));
-        assert!(matches!(ChainSchedule::new(10, 100, 0), Err(McmcError::InvalidSchedule { .. })));
-    }
-
-    #[test]
-    fn schedule_transition_counts() {
-        let s = ChainSchedule::new(100, 1_000, 2).unwrap();
-        assert_eq!(s.total_transitions(), 100 + 2_000);
-        let d = ChainSchedule::default();
-        assert_eq!(d.total_transitions(), 11_000);
-    }
-
-    #[test]
-    fn multichain_cost_reproduces_figure6_arithmetic() {
-        // Figure 6: B = 4, N = 4. With P chains each pays B + N/P.
-        let s = ChainSchedule::new(4, 4, 1).unwrap();
-        assert_eq!(s.multichain_cost(1), 8.0);
-        assert_eq!(s.multichain_cost(2), 6.0);
-        assert_eq!(s.multichain_cost(4), 5.0);
-        // Amdahl limit: cost tends to B as P grows.
-        assert!((s.multichain_cost(1_000_000) - 4.0).abs() < 1e-3);
-        // The generalized scheme keeps dividing.
-        assert_eq!(s.parallel_burnin_cost(4), 2.0);
-        assert!(s.parallel_burnin_cost(8) < s.multichain_cost(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn multichain_cost_rejects_zero_processors() {
-        ChainSchedule::default().multichain_cost(0);
-    }
 
     #[test]
     fn trace_burn_in_split() {

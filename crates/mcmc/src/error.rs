@@ -1,20 +1,10 @@
-//! Error type shared by the MCMC drivers.
+//! Error type of the chain diagnostics.
 
 use std::fmt;
 
-/// Errors produced by the MCMC drivers and diagnostics.
+/// Errors produced by the chain diagnostics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum McmcError {
-    /// A weight vector was empty or summed to zero (all `-inf` in log space).
-    DegenerateWeights {
-        /// Number of weights supplied.
-        len: usize,
-    },
-    /// A chain was asked to run with an invalid schedule (e.g. zero samples).
-    InvalidSchedule {
-        /// Human-readable description of what was wrong.
-        reason: String,
-    },
     /// A diagnostic was requested on a trace that is too short to support it.
     InsufficientSamples {
         /// Samples available.
@@ -22,31 +12,15 @@ pub enum McmcError {
         /// Samples required.
         required: usize,
     },
-    /// A numeric argument was out of its valid domain.
-    InvalidParameter {
-        /// Parameter name.
-        name: &'static str,
-        /// Offending value.
-        value: f64,
-        /// Human-readable constraint.
-        constraint: &'static str,
-    },
 }
 
 impl fmt::Display for McmcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            McmcError::DegenerateWeights { len } => {
-                write!(f, "degenerate weight vector of length {len}: no finite mass")
-            }
-            McmcError::InvalidSchedule { reason } => write!(f, "invalid chain schedule: {reason}"),
             McmcError::InsufficientSamples { available, required } => write!(
                 f,
                 "insufficient samples for diagnostic: have {available}, need at least {required}"
             ),
-            McmcError::InvalidParameter { name, value, constraint } => {
-                write!(f, "invalid parameter {name}={value}: must satisfy {constraint}")
-            }
         }
     }
 }
@@ -59,19 +33,13 @@ mod tests {
 
     #[test]
     fn display_formats_are_informative() {
-        let e = McmcError::DegenerateWeights { len: 3 };
-        assert!(e.to_string().contains("length 3"));
-        let e = McmcError::InvalidSchedule { reason: "zero samples".into() };
-        assert!(e.to_string().contains("zero samples"));
         let e = McmcError::InsufficientSamples { available: 1, required: 10 };
         assert!(e.to_string().contains("have 1"));
-        let e = McmcError::InvalidParameter { name: "theta", value: -1.0, constraint: "theta > 0" };
-        assert!(e.to_string().contains("theta"));
     }
 
     #[test]
     fn error_is_std_error() {
         fn assert_err<E: std::error::Error>(_: &E) {}
-        assert_err(&McmcError::DegenerateWeights { len: 0 });
+        assert_err(&McmcError::InsufficientSamples { available: 0, required: 1 });
     }
 }

@@ -1,50 +1,39 @@
-//! Generic Markov chain Monte Carlo machinery used by the coalescent
-//! genealogy samplers in this workspace.
+//! Markov chain Monte Carlo substrate used by the coalescent genealogy
+//! samplers in this workspace.
 //!
 //! The crate provides the statistical substrate described in Sections 2.2,
-//! 2.3 and 4.1 of the paper:
+//! 2.3 and 4.1 of the paper; the samplers themselves live in `lamarc`
+//! (the single-proposal baseline) and `mpcgs` (the Generalized
+//! Metropolis–Hastings sampler of Section 4.3):
 //!
 //! * [`rng`] — a from-scratch MT19937 Mersenne Twister (the host PRNG used by
 //!   the original implementation), a [`rng::StreamBank`] of decorrelated
 //!   per-thread streams standing in for the device-side MTGP32 generator, and
 //!   hand-rolled samplers for the distributions the samplers need
-//!   (exponential, categorical, binomial, normal).
+//!   (exponential, categorical, categorical from log weights).
 //! * [`logdomain`] — log-domain probability arithmetic ([`LogProb`],
 //!   [`log_sum_exp`]) implementing the underflow-avoidance scheme of
 //!   Section 5.3.
-//! * [`metropolis`] — a generic single-proposal Metropolis–Hastings driver.
-//! * [`generalized`] — a generic Generalized Metropolis–Hastings
-//!   (Calderhead 2014) driver: multiple proposals per transition, an index
-//!   chain sampled from the stationary distribution over the proposal set.
-//! * [`chain`] — chain schedules (burn-in, thinning) and trace storage.
+//! * [`chain`] — trace storage with a burn-in boundary.
 //! * [`diagnostics`] — effective sample size, autocorrelation, Gelman–Rubin
 //!   R̂ and summary statistics.
 //!
 //! # Example
 //!
-//! Sampling a unit normal with both drivers and checking they agree:
+//! The index-chain draw of Section 4.3 on log likelihoods far below the
+//! range of `exp`, from one stream of a bank:
 //!
 //! ```
-//! use mcmc::rng::Mt19937;
-//! use mcmc::metropolis::{LogTarget, ProposalKernel, MetropolisHastings};
-//! use rand::Rng;
+//! use mcmc::rng::{dist::log_categorical, StreamBank};
 //!
-//! struct StdNormal;
-//! impl LogTarget<f64> for StdNormal {
-//!     fn log_density(&self, x: &f64) -> f64 { -0.5 * x * x }
+//! let log_weights = [-10_000.0, -10_000.0 + 2f64.ln(), f64::NEG_INFINITY];
+//! let mut bank = StreamBank::new(42, 1);
+//! let mut counts = [0usize; 3];
+//! for _ in 0..3_000 {
+//!     counts[log_categorical(bank.stream_mut(0), &log_weights).unwrap()] += 1;
 //! }
-//! struct Walk(f64);
-//! impl<R: Rng> ProposalKernel<f64, R> for Walk {
-//!     fn propose(&self, x: &f64, rng: &mut R) -> (f64, f64) {
-//!         (x + self.0 * (rng.gen::<f64>() - 0.5), 0.0)
-//!     }
-//! }
-//!
-//! let mut rng = Mt19937::new(42);
-//! let mh = MetropolisHastings::new(StdNormal, Walk(2.0));
-//! let run = mh.run(0.0, 2_000, 500, 1, &mut rng);
-//! let mean: f64 = run.samples.iter().sum::<f64>() / run.samples.len() as f64;
-//! assert!(mean.abs() < 0.3);
+//! // Index 1 carries two thirds of the mass and index 2 none.
+//! assert!(counts[2] == 0 && (counts[1] as f64 / 3_000.0 - 2.0 / 3.0).abs() < 0.05);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,14 +42,10 @@
 pub mod chain;
 pub mod diagnostics;
 pub mod error;
-pub mod generalized;
 pub mod logdomain;
-pub mod metropolis;
 pub mod rng;
 
-pub use chain::{ChainSchedule, Trace};
+pub use chain::Trace;
 pub use error::McmcError;
-pub use generalized::{GeneralizedMetropolisHastings, GmhRun, MultiProposal, ProposalSetWeight};
 pub use logdomain::{log_sum_exp, normalize_log_weights, LogProb};
-pub use metropolis::{LogTarget, MetropolisHastings, MhRun, ProposalKernel};
 pub use rng::{Mt19937, SplitMix64, StreamBank};

@@ -1,8 +1,8 @@
 //! Hand-rolled samplers for the distributions the samplers need.
 //!
 //! Only `rand`'s uniform primitives are used; everything else (exponential,
-//! truncated exponential, categorical from log weights, binomial, normal,
-//! gamma-free Poisson) is implemented here so the workspace does not pull in
+//! categorical, categorical from log weights, standard normal, sampling
+//! without replacement) is implemented here so the workspace does not pull in
 //! `rand_distr`. Each sampler is documented with the inversion / rejection
 //! scheme it uses and is covered by statistical unit tests.
 
@@ -20,29 +20,6 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     let u: f64 = rng.gen();
     // 1 - u is in (0, 1]; ln of it is finite.
     -(1.0 - u).ln() / rate
-}
-
-/// Sample an exponential with rate λ conditioned on the value being less than
-/// `bound`, by inversion of the truncated CDF.
-///
-/// Used when placing a coalescent event inside a feasible interval of known
-/// length (Section 4.2): the waiting time is exponential but must fall inside
-/// the interval.
-///
-/// # Panics
-/// Panics if `rate <= 0` or `bound <= 0`.
-pub fn truncated_exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64, bound: f64) -> f64 {
-    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive, got {rate}");
-    assert!(bound > 0.0, "bound must be positive, got {bound}");
-    let u: f64 = rng.gen();
-    // CDF on [0, bound]: F(t) = (1 - exp(-rate t)) / (1 - exp(-rate bound)).
-    let z = 1.0 - (-rate * bound).exp();
-    if z <= f64::EPSILON {
-        // Rate * bound so small the distribution is effectively uniform.
-        return u * bound;
-    }
-    let t = -(1.0 - u * z).ln() / rate;
-    t.min(bound)
 }
 
 /// Sample an index from a categorical distribution given unnormalised
@@ -131,45 +108,6 @@ impl LogCategoricalTable {
     }
 }
 
-/// Sample a binomial(n, p) by direct Bernoulli summation for small n and by
-/// the normal approximation with continuity correction (clamped to [0, n])
-/// for large n.
-///
-/// Wright–Fisher generations (Section 2.4) draw `2N` allele copies per
-/// generation; population sizes in the tests and examples are modest so the
-/// exact path dominates, but the approximation keeps large-population
-/// simulations tractable.
-///
-/// # Panics
-/// Panics if `p` is outside `[0, 1]`.
-pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
-    assert!((0.0..=1.0).contains(&p), "binomial p must lie in [0,1], got {p}");
-    // mpcgs-analyze: allow(d5, reason = "degenerate-distribution guard: p = 0 and p = 1 are exact caller-provided constants where the sampler must not consume RNG draws")
-    if p == 0.0 || n == 0 {
-        return 0;
-    }
-    // mpcgs-analyze: allow(d5, reason = "degenerate-distribution guard: p = 0 and p = 1 are exact caller-provided constants where the sampler must not consume RNG draws")
-    if p == 1.0 {
-        return n;
-    }
-    const EXACT_LIMIT: u64 = 4096;
-    if n <= EXACT_LIMIT {
-        let mut k = 0u64;
-        for _ in 0..n {
-            if rng.gen::<f64>() < p {
-                k += 1;
-            }
-        }
-        k
-    } else {
-        let mean = n as f64 * p;
-        let sd = (n as f64 * p * (1.0 - p)).sqrt();
-        let z = standard_normal(rng);
-        let x = (mean + sd * z + 0.5).floor();
-        x.clamp(0.0, n as f64) as u64
-    }
-}
-
 /// Sample a standard normal via the Box–Muller transform.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid u1 == 0 which would make ln(0) = -inf.
@@ -183,15 +121,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Sample a normal with the given mean and standard deviation.
-///
-/// # Panics
-/// Panics if `sd` is negative.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
-    assert!(sd >= 0.0, "standard deviation must be non-negative, got {sd}");
-    mean + sd * standard_normal(rng)
-}
-
 /// Sample a uniform integer in `[0, n)`. Convenience wrapper matching the
 /// auxiliary-variable draw of Section 4.3 (`phi ~ Uniform(1..N)`).
 ///
@@ -200,15 +129,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
 pub fn uniform_index<R: Rng + ?Sized>(rng: &mut R, n: usize) -> usize {
     assert!(n > 0, "cannot draw a uniform index from an empty range");
     rng.gen_range(0..n)
-}
-
-/// Sample from a discrete uniform over the provided slice, returning a
-/// reference to the chosen element.
-///
-/// # Panics
-/// Panics if the slice is empty.
-pub fn choose<'a, T, R: Rng + ?Sized>(rng: &mut R, items: &'a [T]) -> &'a T {
-    &items[uniform_index(rng, items.len())]
 }
 
 /// Sample `k` distinct indices from `[0, n)` by partial Fisher–Yates.
@@ -249,36 +169,6 @@ mod tests {
     fn exponential_rejects_bad_rate() {
         let mut r = rng();
         exponential(&mut r, 0.0);
-    }
-
-    #[test]
-    fn truncated_exponential_stays_in_bound() {
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let t = truncated_exponential(&mut r, 0.7, 3.0);
-            assert!((0.0..=3.0).contains(&t), "{t}");
-        }
-    }
-
-    #[test]
-    fn truncated_exponential_tiny_rate_is_uniform_like() {
-        let mut r = rng();
-        let n = 20_000;
-        let mean: f64 =
-            (0..n).map(|_| truncated_exponential(&mut r, 1e-14, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean} should be ~1.0 (uniform on [0,2])");
-    }
-
-    #[test]
-    fn truncated_exponential_matches_conditional_mean() {
-        // E[T | T < b] = 1/λ - b·e^{-λb}/(1 - e^{-λb})
-        let mut r = rng();
-        let (rate, bound) = (1.5, 2.0);
-        let n = 100_000;
-        let mean: f64 =
-            (0..n).map(|_| truncated_exponential(&mut r, rate, bound)).sum::<f64>() / n as f64;
-        let expect = 1.0 / rate - bound * (-rate * bound).exp() / (1.0 - (-rate * bound).exp());
-        assert!((mean - expect).abs() < 0.01, "mean {mean} vs expected {expect}");
     }
 
     #[test]
@@ -439,48 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn binomial_exact_path_mean_and_bounds() {
-        let mut r = rng();
-        let (n_trials, p) = (100u64, 0.3);
-        let reps = 20_000;
-        let mut sum = 0u64;
-        for _ in 0..reps {
-            let k = binomial(&mut r, n_trials, p);
-            assert!(k <= n_trials);
-            sum += k;
-        }
-        let mean = sum as f64 / reps as f64;
-        assert!((mean - 30.0).abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_normal_approximation_path() {
-        let mut r = rng();
-        let (n_trials, p) = (1_000_000u64, 0.5);
-        let reps = 2_000;
-        let mut sum = 0.0;
-        for _ in 0..reps {
-            let k = binomial(&mut r, n_trials, p);
-            assert!(k <= n_trials);
-            sum += k as f64;
-        }
-        let mean = sum / reps as f64;
-        assert!((mean / 500_000.0 - 1.0).abs() < 0.001, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_edge_cases() {
-        let mut r = rng();
-        assert_eq!(binomial(&mut r, 0, 0.5), 0);
-        assert_eq!(binomial(&mut r, 10, 0.0), 0);
-        assert_eq!(binomial(&mut r, 10, 1.0), 10);
-    }
-
-    #[test]
     fn normal_moments() {
         let mut r = rng();
         let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| normal(&mut r, 3.0, 2.0)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| 3.0 + 2.0 * standard_normal(&mut r)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
@@ -488,15 +340,13 @@ mod tests {
     }
 
     #[test]
-    fn uniform_index_and_choose_cover_range() {
+    fn uniform_index_covers_range() {
         let mut r = rng();
-        let items = [10, 20, 30];
         let mut seen = [false; 3];
         for _ in 0..200 {
             let i = uniform_index(&mut r, 3);
             assert!(i < 3);
             seen[i] = true;
-            let _ = choose(&mut r, &items);
         }
         assert!(seen.iter().all(|&s| s));
     }

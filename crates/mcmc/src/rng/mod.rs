@@ -10,8 +10,9 @@
 //!   decorrelated seeds.
 //! * [`StreamBank`] — a bank of independently seeded [`Mt19937`] streams, one
 //!   per logical device thread, standing in for MTGP32.
-//! * [`dist`] — hand-rolled samplers (exponential, categorical from log
-//!   weights, binomial, normal) so the workspace does not need `rand_distr`.
+//! * [`dist`] — hand-rolled samplers (exponential, categorical, categorical
+//!   from log weights, standard normal) so the workspace does not need
+//!   `rand_distr`.
 
 mod mt19937;
 mod splitmix;

@@ -76,6 +76,23 @@ pub struct CliArgs {
     pub resume: Option<String>,
 }
 
+/// The most chains one run may shard across, from `--chains` or a serve
+/// job's `"chains"`. A ladder's temperatures are allocated while the
+/// arguments are parsed and an ensemble steps one scoped thread per chain,
+/// so the count must not size either unchecked.
+const MAX_CHAINS: usize = 256;
+
+/// Most retained samples a serve job may ask for: a chain reserves room
+/// for all of them when it begins.
+const MAX_JOB_SAMPLES: usize = 1_000_000;
+/// Most burn-in draws a serve job may ask for, each a full sampler step.
+const MAX_JOB_BURN_IN: usize = 1_000_000;
+/// Most proposals per iteration a serve job may ask for, each with its own
+/// genealogy slot and likelihood rescore.
+const MAX_JOB_PROPOSALS: usize = 1_024;
+/// Most EM iterations a serve job may ask for, each a rerun of the chain.
+const MAX_JOB_EM: usize = 100;
+
 /// Print the usage text to stderr.
 pub fn print_usage() {
     eprintln!(
@@ -101,7 +118,8 @@ pub fn print_usage() {
                                 AVX2+FMA combine loop when available)\n\
            --rate <locus>=<r>   relative mutation rate for one locus (repeatable; the\n\
                                 locus name is the PHYLIP file stem; r finite and > 0)\n\
-           --chains <n>         shard each run across n chains (default 1: single chain)\n\
+           --chains <n>         shard each run across n chains (default 1: single chain;\n\
+                                at most {MAX_CHAINS}, one thread each)\n\
            --exchange <name>    ensemble exchange policy: independent | ladder\n\
                                 (default independent; ladder runs MC3 replica exchange\n\
                                 on a geometric temperature ladder)\n\
@@ -126,6 +144,8 @@ pub fn print_usage() {
             \"jobs\": [{{\"name\": \"j0\", \"phylip\": [\"data.phy\"], \"theta\": 1.0,\n\
                       \"seed\": 7, \"samples\": 1000, \"burn_in\": 100, \"em\": 3,\n\
                       \"strategy\": \"gmh\", \"chains\": 1}}, ...]}}\n\
+         Largest values per job: \"samples\" {MAX_JOB_SAMPLES}, \"burn_in\" {MAX_JOB_BURN_IN},\n\
+         \"proposals\" {MAX_JOB_PROPOSALS}, \"em\" {MAX_JOB_EM}, \"chains\" {MAX_CHAINS}.\n\
          Command-line --workers/--backend/--quantum override the file's values."
     );
 }
@@ -229,6 +249,12 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                     return Err("--chains: 0 chains cannot sample anything; pass 1 for a \
                                 single chain or n > 1 for an ensemble"
                         .to_string());
+                }
+                if cli.chains > MAX_CHAINS {
+                    return Err(format!(
+                        "--chains: at most {MAX_CHAINS} chains (one thread each), got {}",
+                        cli.chains
+                    ));
                 }
             }
             "--exchange" => {
@@ -452,11 +478,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
     Ok(serve)
 }
 
-/// The most chains one serve job may run. A ladder's temperatures are
-/// allocated while the spec is parsed and an ensemble steps one thread per
-/// chain, so an untrusted count must not size either unchecked.
-const MAX_JOB_CHAINS: usize = 256;
-
 /// A job's optional string field, or a pointed error when it has another
 /// type.
 fn job_field_str<'a>(job: &'a Json, key: &str, name: &str) -> Result<Option<&'a str>, String> {
@@ -469,18 +490,28 @@ fn job_field_str<'a>(job: &'a Json, key: &str, name: &str) -> Result<Option<&'a 
     }
 }
 
-fn job_field_usize(job: &Json, key: &str, default: usize, name: &str) -> Result<usize, String> {
-    match job.get(key) {
-        None => Ok(default),
-        Some(value) => {
-            let x = value
-                .as_f64()
-                // mpcgs-analyze: allow(d5, reason = "integrality validation: fract() of a JSON-decoded count is exactly 0.0 iff the value is an integer")
-                .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                .ok_or_else(|| format!("job {name:?}: {key:?} must be a non-negative integer"))?;
-            Ok(x as usize)
-        }
+/// A job's optional count field: `default` when absent, otherwise a
+/// non-negative integer of at most `max`, or a pointed error naming the
+/// field (and its bound, when the value is over it).
+fn job_field_usize(
+    job: &Json,
+    key: &str,
+    default: usize,
+    max: usize,
+    name: &str,
+) -> Result<usize, String> {
+    let Some(value) = job.get(key) else {
+        return Ok(default);
+    };
+    let x = value
+        .as_f64()
+        // mpcgs-analyze: allow(d5, reason = "integrality validation: fract() of a JSON-decoded count is exactly 0.0 iff the value is an integer")
+        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+        .ok_or_else(|| format!("job {name:?}: {key:?} must be a non-negative integer"))?;
+    if x > max as f64 {
+        return Err(format!("job {name:?}: {key:?} must be at most {max}"));
     }
+    Ok(x as usize)
 }
 
 /// Parse a serve job spec document (see [`print_usage`] for the shape) into
@@ -560,7 +591,7 @@ pub fn parse_job_file(
         }
         let dataset =
             load_dataset(&phylip).map_err(|e| format!("job {name:?}: \"phylip\": {e}"))?;
-        let proposals = job_field_usize(job, "proposals", 32, &name)?;
+        let proposals = job_field_usize(job, "proposals", 32, MAX_JOB_PROPOSALS, &name)?;
         // Jobs default to the serial backend — the pool supplies the
         // parallelism; per-job "backend" opts into nested dispatch.
         let mut job_backend = Backend::Serial;
@@ -573,11 +604,11 @@ pub fn parse_job_file(
         }
         let mpcgs_config = MpcgsConfig {
             initial_theta: theta,
-            em_iterations: job_field_usize(job, "em", 3, &name)?,
+            em_iterations: job_field_usize(job, "em", 3, MAX_JOB_EM, &name)?,
             proposals_per_iteration: proposals,
             draws_per_iteration: proposals,
-            burn_in_draws: job_field_usize(job, "burn_in", 1_000, &name)?,
-            sample_draws: job_field_usize(job, "samples", 10_000, &name)?,
+            burn_in_draws: job_field_usize(job, "burn_in", 1_000, MAX_JOB_BURN_IN, &name)?,
+            sample_draws: job_field_usize(job, "samples", 10_000, MAX_JOB_SAMPLES, &name)?,
             backend: job_backend,
             ..MpcgsConfig::default()
         };
@@ -590,12 +621,8 @@ pub fn parse_job_file(
                 ))
             }
         };
-        let chains = job_field_usize(job, "chains", 1, &name)?;
-        if chains > MAX_JOB_CHAINS {
-            return Err(format!(
-                "job {name:?}: \"chains\" must be at most {MAX_JOB_CHAINS}, got {chains}"
-            ));
-        }
+        let seed = job_field_usize(job, "seed", 20_160_401, u32::MAX as usize, &name)? as u32;
+        let chains = job_field_usize(job, "chains", 1, MAX_CHAINS, &name)?;
         let ensemble = if chains > 1 {
             let hottest = match job.get("hottest") {
                 None => 4.0,
@@ -608,7 +635,7 @@ pub fn parse_job_file(
                 Some("ladder") => ExchangePolicy::geometric_ladder(
                     chains,
                     hottest,
-                    job_field_usize(job, "swap_interval", 10, &name)?,
+                    job_field_usize(job, "swap_interval", 10, usize::MAX, &name)?,
                 )
                 .map_err(|e| format!("job {name:?}: invalid temperature ladder: {e}"))?,
                 Some(other) => {
@@ -621,15 +648,14 @@ pub fn parse_job_file(
             Some(EnsembleSpec {
                 n_chains: chains,
                 exchange,
-                ensemble_seed: job_field_usize(job, "seed", 20_160_401, &name)? as u64,
+                ensemble_seed: seed as u64,
                 ..EnsembleSpec::default()
             })
         } else {
             None
         };
         let mut spec = JobSpec::new(name.clone(), dataset, mpcgs_config, 0);
-        spec.seed = u32::try_from(job_field_usize(job, "seed", 20_160_401, &name)?)
-            .map_err(|_| format!("job {name:?}: seed does not fit in 32 bits"))?;
+        spec.seed = seed;
         spec.strategy = strategy;
         spec.ensemble = ensemble;
         jobs.push(spec);
@@ -668,6 +694,15 @@ mod tests {
         let err = parse("a.phy 1.0 --chains 0").unwrap_err();
         assert!(err.contains("--chains"), "unhelpful error: {err}");
         assert!(err.contains("0 chains"), "error should name the problem: {err}");
+    }
+
+    #[test]
+    fn chains_over_the_cap_are_rejected_at_parse_time() {
+        // Parse only: a run would start one thread per chain.
+        let cli = parse(&format!("a.phy 1.0 --chains {MAX_CHAINS}")).unwrap();
+        assert_eq!(cli.chains, MAX_CHAINS);
+        let err = parse(&format!("a.phy 1.0 --chains {}", MAX_CHAINS + 1)).unwrap_err();
+        assert!(err.contains("--chains") && err.contains("at most 256"), "{err}");
     }
 
     #[test]
@@ -785,16 +820,52 @@ mod tests {
         assert!(parse_serve_args(&argv("jobs.json --frobnicate")).is_err());
     }
 
-    #[test]
-    fn job_files_parse_with_defaults_and_pointed_errors() {
+    /// Write a four-sequence PHYLIP file named `file` into a test
+    /// directory and return its path.
+    fn tiny_phylip(file: &str) -> String {
         let dir = std::env::temp_dir().join("mpcgs-cli-jobfile-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let phy = dir.join("tiny.phy");
+        let phy = dir.join(file);
         std::fs::write(&phy, " 4 8\nseq_a     ACGTACGT\nseq_b     ACGTACGA\nseq_c     ACGAACGT\nseq_d     TCGTACGT\n").unwrap();
-        let phy = phy.to_string_lossy().into_owned();
+        phy.to_string_lossy().into_owned()
+    }
 
-        let no_overrides =
-            ServeArgs { job_path: "-".to_string(), workers: None, backend: None, quantum: None };
+    fn no_overrides() -> ServeArgs {
+        ServeArgs { job_path: "-".to_string(), workers: None, backend: None, quantum: None }
+    }
+
+    #[test]
+    fn job_counts_are_bounded_with_pointed_errors() {
+        // Parse only: the jobs are never drained.
+        let phy = tiny_phylip("bounds.phy");
+        let job = |field: &str, value: &str| {
+            let job = format!(
+                r#"{{"name": "b", "phylip": ["{phy}"], "theta": 1.0, "{field}": {value}}}"#
+            );
+            parse_job_file(&format!(r#"{{"jobs": [{job}]}}"#), &no_overrides())
+        };
+        for (field, max) in [
+            ("samples", MAX_JOB_SAMPLES),
+            ("burn_in", MAX_JOB_BURN_IN),
+            ("proposals", MAX_JOB_PROPOSALS),
+            ("em", MAX_JOB_EM),
+            ("chains", MAX_CHAINS),
+            ("seed", u32::MAX as usize),
+        ] {
+            assert!(job(field, &max.to_string()).is_ok(), "{field} = {max} was rejected");
+            for over in [(max + 1).to_string(), "1e300".to_string()] {
+                let err = job(field, &over).unwrap_err();
+                assert_eq!(err, format!("job \"b\": \"{field}\" must be at most {max}"));
+            }
+        }
+        let (_, jobs) = job("seed", &u32::MAX.to_string()).unwrap();
+        assert_eq!(jobs[0].seed, u32::MAX);
+    }
+
+    #[test]
+    fn job_files_parse_with_defaults_and_pointed_errors() {
+        let phy = tiny_phylip("tiny.phy");
+        let no_overrides = no_overrides();
         let text = format!(
             r#"{{"workers": 3, "quantum": 8,
                 "jobs": [

@@ -4,10 +4,8 @@
 //! genealogies against sequence data (Sections 2.4, 4.2 and 5.2 of the
 //! paper):
 //!
-//! * [`nucleotide`] — the four-letter DNA alphabet with 2-bit packing
-//!   (Section 5.1.3 packs sequence data two bits per base so a warp can read
-//!   one 64-bit word; the packed representation here serves the same role of
-//!   a compact, cache-friendly encoding).
+//! * [`nucleotide`] — the four-letter DNA alphabet, indexed `A, C, G, T` in
+//!   the order of base-frequency vectors and substitution-model matrices.
 //! * [`sequence`] / [`alignment`] — named sequences and equal-length
 //!   alignments, with empirical base-frequency estimation (the prior π of
 //!   Eq. 20 is "approximated by the relative frequency of each nucleotide in

@@ -104,19 +104,6 @@ impl Nucleotide {
     pub fn is_transversion_with(self, other: Nucleotide) -> bool {
         self.is_purine() != other.is_purine()
     }
-
-    /// The two-bit packing code (same as [`Nucleotide::index`] but typed `u8`).
-    #[inline]
-    pub fn to_bits(self) -> u8 {
-        self as u8
-    }
-
-    /// Reconstruct a nucleotide from its two-bit code (only the low two bits
-    /// are considered).
-    #[inline]
-    pub fn from_bits(bits: u8) -> Nucleotide {
-        Nucleotide::ALL[(bits & 0b11) as usize]
-    }
 }
 
 impl std::fmt::Display for Nucleotide {
@@ -134,7 +121,6 @@ mod tests {
         for (i, &n) in Nucleotide::ALL.iter().enumerate() {
             assert_eq!(n.index(), i);
             assert_eq!(Nucleotide::from_index(i), n);
-            assert_eq!(Nucleotide::from_bits(n.to_bits()), n);
         }
     }
 
@@ -182,12 +168,6 @@ mod tests {
         assert!(Nucleotide::A.is_transversion_with(Nucleotide::C));
         assert!(Nucleotide::G.is_transversion_with(Nucleotide::T));
         assert!(!Nucleotide::A.is_transversion_with(Nucleotide::G));
-    }
-
-    #[test]
-    fn from_bits_masks_high_bits() {
-        assert_eq!(Nucleotide::from_bits(0b0100), Nucleotide::A);
-        assert_eq!(Nucleotide::from_bits(0b0111), Nucleotide::T);
     }
 
     #[test]

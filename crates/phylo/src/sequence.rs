@@ -1,4 +1,4 @@
-//! Named DNA sequences and their 2-bit packed representation.
+//! Named DNA sequences.
 
 use crate::error::PhyloError;
 use crate::nucleotide::Nucleotide;
@@ -64,76 +64,6 @@ impl Sequence {
     pub fn hamming_distance(&self, other: &Sequence) -> usize {
         self.bases.iter().zip(other.bases.iter()).filter(|(a, b)| a != b).count()
     }
-
-    /// Pack into a compact 2-bit-per-base representation.
-    pub fn packed(&self) -> PackedSequence {
-        PackedSequence::from_bases(&self.bases)
-    }
-}
-
-/// A DNA sequence packed two bits per base into 64-bit words.
-///
-/// Thirty-two bases fit in each word, mirroring the constant-memory layout of
-/// Section 5.1.3 where "an entire warp can be populated out of 64 bits of
-/// data".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedSequence {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl PackedSequence {
-    /// Bases stored per 64-bit word.
-    pub const BASES_PER_WORD: usize = 32;
-
-    /// Pack a slice of bases.
-    pub fn from_bases(bases: &[Nucleotide]) -> Self {
-        let mut words = vec![0u64; bases.len().div_ceil(Self::BASES_PER_WORD)];
-        for (i, base) in bases.iter().enumerate() {
-            let word = i / Self::BASES_PER_WORD;
-            let shift = 2 * (i % Self::BASES_PER_WORD);
-            words[word] |= (base.to_bits() as u64) << shift;
-        }
-        PackedSequence { words, len: bases.len() }
-    }
-
-    /// Number of bases stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no bases are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The base at `position`.
-    ///
-    /// # Panics
-    /// Panics if `position >= len()`.
-    #[inline]
-    pub fn base(&self, position: usize) -> Nucleotide {
-        assert!(position < self.len, "position {position} out of range for length {}", self.len);
-        let word = self.words[position / Self::BASES_PER_WORD];
-        let shift = 2 * (position % Self::BASES_PER_WORD);
-        Nucleotide::from_bits(((word >> shift) & 0b11) as u8)
-    }
-
-    /// Unpack into a vector of bases.
-    pub fn unpack(&self) -> Vec<Nucleotide> {
-        (0..self.len).map(|i| self.base(i)).collect()
-    }
-
-    /// The underlying packed words (the last word's unused high bits are
-    /// zero).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Bytes of storage used by the packed representation.
-    pub fn storage_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -163,10 +93,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.to_letters(), "");
-        let p = s.packed();
-        assert!(p.is_empty());
-        assert_eq!(p.unpack(), Vec::<Nucleotide>::new());
-        assert_eq!(p.storage_bytes(), 0);
     }
 
     #[test]
@@ -178,37 +104,5 @@ mod tests {
         // Shorter-of-the-two comparison.
         let c = Sequence::parse("c", "AA").unwrap();
         assert_eq!(a.hamming_distance(&c), 0);
-    }
-
-    #[test]
-    fn packing_round_trips_for_awkward_lengths() {
-        for len in [1usize, 31, 32, 33, 63, 64, 65, 100] {
-            let bases: Vec<Nucleotide> = (0..len).map(|i| Nucleotide::from_index(i % 4)).collect();
-            let packed = PackedSequence::from_bases(&bases);
-            assert_eq!(packed.len(), len);
-            assert_eq!(packed.unpack(), bases);
-            assert_eq!(packed.words().len(), len.div_ceil(32));
-        }
-    }
-
-    #[test]
-    fn packed_storage_is_compact() {
-        let bases: Vec<Nucleotide> = (0..640).map(|i| Nucleotide::from_index(i % 4)).collect();
-        let packed = PackedSequence::from_bases(&bases);
-        // 640 bases -> 20 words -> 160 bytes, versus 640 bytes unpacked.
-        assert_eq!(packed.storage_bytes(), 160);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn packed_base_out_of_range_panics() {
-        let packed = PackedSequence::from_bases(&[Nucleotide::A]);
-        let _ = packed.base(1);
-    }
-
-    #[test]
-    fn packed_from_sequence_matches_manual_packing() {
-        let s = Sequence::parse("s", "ACGTACGT").unwrap();
-        assert_eq!(s.packed(), PackedSequence::from_bases(s.bases()));
     }
 }
