@@ -22,6 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Write as _;
+
 /// A JSON value. Object keys keep their insertion order so emitted
 /// artefacts diff cleanly across runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,7 +147,10 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(x) => {
                 if x.is_finite() {
-                    out.push_str(&format!("{x}"));
+                    // Straight into `out`: the bytes `format!("{x}")` makes,
+                    // without a `String` per number. Writing to a `String`
+                    // cannot fail.
+                    let _ = write!(out, "{x}");
                 } else {
                     out.push_str("null");
                 }
@@ -445,6 +450,40 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn numbers_are_written_exactly_as_format_writes_them() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            42.0,
+            -7.0,
+            9_007_199_254_740_993.0,
+            0.1,
+            1.0 / 3.0,
+            1e-7,
+            1e16,
+            1e21,
+            1e308,
+            -1e308,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+        ];
+        for x in values {
+            let mut out = String::new();
+            Json::Number(x).write(&mut out, 0);
+            assert_eq!(out, format!("{x}"), "{x:e}");
+            assert_eq!(Json::parse(&out).unwrap().as_f64().map(f64::to_bits), Some(x.to_bits()));
+        }
+        let array = Json::Array(values.iter().map(|&x| Json::Number(x)).collect());
+        let expected: Vec<String> = values.iter().map(|x| format!("  {x}")).collect();
+        assert_eq!(array.to_pretty(), format!("[\n{}\n]\n", expected.join(",\n")));
+    }
 
     #[test]
     fn nesting_is_bounded() {

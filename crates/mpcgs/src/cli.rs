@@ -95,59 +95,72 @@ const MAX_JOB_EM: usize = 100;
 
 /// Print the usage text to stderr.
 pub fn print_usage() {
-    eprintln!(
-        "usage: mpcgs <seqdata.phy>... <init-theta> [options]\n\
-         \n\
-         Each PHYLIP file becomes one locus; several files run a multi-locus\n\
-         estimation over their shared sequence names.\n\
-         \n\
-         options:\n\
-           --samples <n>        retained genealogy samples per chain (default 10000)\n\
-           --burn-in <n>        burn-in draws per chain (default 1000)\n\
-           --proposals <n>      proposals per Generalized-MH iteration (default 32)\n\
-           --em <n>             EM iterations (default 3)\n\
-           --seed <n>           host RNG seed (default 20160401)\n\
-           --strategy <name>    sampler strategy: gmh | baseline (default gmh)\n\
-           --backend <name>     execution backend: serial | rayon | device (default rayon;\n\
-                                device runs the simulated accelerator queue, reporting a\n\
-                                measured host-vs-device cost breakdown)\n\
-           --device-spec <name> device preset for --backend device: kepler | modern\n\
-                                (default kepler)\n\
-           --kernel <name>      likelihood combine kernel: scalar | simd | auto\n\
-                                (default auto: probe the CPU at startup and use the\n\
-                                AVX2+FMA combine loop when available)\n\
-           --rate <locus>=<r>   relative mutation rate for one locus (repeatable; the\n\
-                                locus name is the PHYLIP file stem; r finite and > 0)\n\
-           --chains <n>         shard each run across n chains (default 1: single chain;\n\
-                                at most {MAX_CHAINS}, one thread each)\n\
-           --exchange <name>    ensemble exchange policy: independent | ladder\n\
-                                (default independent; ladder runs MC3 replica exchange\n\
-                                on a geometric temperature ladder)\n\
-           --swap-interval <n>  rounds between replica-exchange swap attempts\n\
-                                (ladder only, default 10)\n\
-           --hottest <t>        temperature of the hottest ladder rung (default 4.0;\n\
-                                must be finite and > 1)\n\
-           --checkpoint-every <n>  write a checkpoint every n sampler increments\n\
-                                (requires --checkpoint-path; an increment is one kernel\n\
-                                step, or one dispatch segment for an ensemble)\n\
-           --checkpoint-path <file> where the checkpoint JSON is written (atomically\n\
-                                replaced at each interval; resumable with --resume)\n\
-           --resume <file>      continue bit-identically from a checkpoint written by\n\
-                                --checkpoint-path (the run configuration must match)\n\
-         \n\
-         job-queue mode:\n\
-           mpcgs serve <jobs.json | -> [--workers <n>] [--backend <name>] [--quantum <n>]\n\
-         \n\
-         Drains a queue of estimation jobs over a fixed worker pool, streaming\n\
-         per-job progress. The spec file (or stdin, with \"-\") is a JSON document:\n\
-           {{\"workers\": 4, \"backend\": \"rayon\", \"quantum\": 64,\n\
-            \"jobs\": [{{\"name\": \"j0\", \"phylip\": [\"data.phy\"], \"theta\": 1.0,\n\
-                      \"seed\": 7, \"samples\": 1000, \"burn_in\": 100, \"em\": 3,\n\
-                      \"strategy\": \"gmh\", \"chains\": 1}}, ...]}}\n\
-         Largest values per job: \"samples\" {MAX_JOB_SAMPLES}, \"burn_in\" {MAX_JOB_BURN_IN},\n\
-         \"proposals\" {MAX_JOB_PROPOSALS}, \"em\" {MAX_JOB_EM}, \"chains\" {MAX_CHAINS}.\n\
-         Command-line --workers/--backend/--quantum override the file's values."
+    eprintln!("{}", usage_text());
+}
+
+/// The usage text, one element per printed line, so every line keeps the
+/// indentation written here.
+fn usage_text() -> String {
+    let chains = format!("                       at most {MAX_CHAINS}, one thread each)");
+    let largest = format!(
+        "Largest values per job: \"samples\" {MAX_JOB_SAMPLES}, \"burn_in\" {MAX_JOB_BURN_IN},"
     );
+    let largest_rest =
+        format!("\"proposals\" {MAX_JOB_PROPOSALS}, \"em\" {MAX_JOB_EM}, \"chains\" {MAX_CHAINS}.");
+    [
+        "usage: mpcgs <seqdata.phy>... <init-theta> [options]",
+        "",
+        "Each PHYLIP file becomes one locus; several files run a multi-locus",
+        "estimation over their shared sequence names.",
+        "",
+        "options:",
+        "  --samples <n>        retained genealogy samples per chain (default 10000)",
+        "  --burn-in <n>        burn-in draws per chain (default 1000)",
+        "  --proposals <n>      proposals per Generalized-MH iteration (default 32)",
+        "  --em <n>             EM iterations (default 3)",
+        "  --seed <n>           host RNG seed (default 20160401)",
+        "  --strategy <name>    sampler strategy: gmh | baseline (default gmh)",
+        "  --backend <name>     execution backend: serial | rayon | device (default rayon;",
+        "                       device runs the simulated accelerator queue, reporting a",
+        "                       measured host-vs-device cost breakdown)",
+        "  --device-spec <name> device preset for --backend device: kepler | modern",
+        "                       (default kepler)",
+        "  --kernel <name>      likelihood combine kernel: scalar | simd | auto",
+        "                       (default auto: probe the CPU at startup and use the",
+        "                       AVX2+FMA combine loop when available)",
+        "  --rate <locus>=<r>   relative mutation rate for one locus (repeatable; the",
+        "                       locus name is the PHYLIP file stem; r finite and > 0)",
+        "  --chains <n>         shard each run across n chains (default 1: single chain;",
+        &chains,
+        "  --exchange <name>    ensemble exchange policy: independent | ladder",
+        "                       (default independent; ladder runs MC3 replica exchange",
+        "                       on a geometric temperature ladder)",
+        "  --swap-interval <n>  rounds between replica-exchange swap attempts",
+        "                       (ladder only, default 10)",
+        "  --hottest <t>        temperature of the hottest ladder rung (default 4.0;",
+        "                       must be finite and > 1)",
+        "  --checkpoint-every <n>  write a checkpoint every n sampler increments",
+        "                       (requires --checkpoint-path; an increment is one kernel",
+        "                       step, or one dispatch segment for an ensemble)",
+        "  --checkpoint-path <file> where the checkpoint JSON is written (atomically",
+        "                       replaced at each interval; resumable with --resume)",
+        "  --resume <file>      continue bit-identically from a checkpoint written by",
+        "                       --checkpoint-path (the run configuration must match)",
+        "",
+        "job-queue mode:",
+        "  mpcgs serve <jobs.json | -> [--workers <n>] [--backend <name>] [--quantum <n>]",
+        "",
+        "Drains a queue of estimation jobs over a fixed worker pool, streaming",
+        "per-job progress. The spec file (or stdin, with \"-\") is a JSON document:",
+        "  {\"workers\": 4, \"backend\": \"rayon\", \"quantum\": 64,",
+        "   \"jobs\": [{\"name\": \"j0\", \"phylip\": [\"data.phy\"], \"theta\": 1.0,",
+        "             \"seed\": 7, \"samples\": 1000, \"burn_in\": 100, \"em\": 3,",
+        "             \"strategy\": \"gmh\", \"chains\": 1}, ...]}",
+        &largest,
+        &largest_rest,
+        "Command-line --workers/--backend/--quantum override the file's values.",
+    ]
+    .join("\n")
 }
 
 /// Parse `--rate <locus>=<r>` syntax.
@@ -674,6 +687,38 @@ mod tests {
 
     fn parse(line: &str) -> Result<CliArgs, String> {
         parse_args(&argv(line))
+    }
+
+    #[test]
+    fn usage_lines_keep_their_indentation() {
+        // Option descriptions, and the wrapped lines that continue them,
+        // start at this column.
+        const DESCRIPTION_COLUMN: usize = 23;
+        let text = usage_text();
+        let options: Vec<&str> = text
+            .lines()
+            .skip_while(|line| *line != "options:")
+            .skip(1)
+            .take_while(|line| !line.is_empty())
+            .collect();
+        assert!(options.len() > 20, "options section: {options:?}");
+        // Each line is an option line (two spaces, then the option) or a
+        // wrapped description line indented to the description column.
+        let mut wrapped = 0;
+        for line in options {
+            let indent = line.len() - line.trim_start().len();
+            if indent == DESCRIPTION_COLUMN {
+                wrapped += 1;
+            } else {
+                assert!(line.starts_with("  --") && indent == 2, "misindented {line:?}");
+            }
+        }
+        assert!(wrapped > 10, "{wrapped} wrapped description lines");
+        assert!(text.contains(&format!("at most {MAX_CHAINS}, one thread each)")));
+        assert!(text.contains(&format!("\"em\" {MAX_JOB_EM}, \"chains\" {MAX_CHAINS}.")));
+        assert!(text.lines().any(|line| line
+            == "  mpcgs serve <jobs.json | -> [--workers <n>] \
+                                                 [--backend <name>] [--quantum <n>]"));
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //!   every other subtree. The generator workspace itself is memoised inside
 //!   the engine, so consecutive evaluations against an unchanged generator
 //!   (rejected moves, repeated index draws) skip the full prune entirely.
+//!   All proposals of one GMH iteration edit the same neighbourhood, so they
+//!   share the dirty path above it: when at least two members list the same
+//!   edited nodes, the batch finds that path and its edge matrices once and
+//!   computes the clean off-path child's `M·p` at each of its nodes once per
+//!   pattern chunk (*shared off-path rows*). Each proposal then combines a
+//!   path node with one matrix–vector product, for its on-path child, times
+//!   the shared row. The results, and every work counter, are bit-identical
+//!   to scoring each proposal alone.
 //!
 //! The innermost arithmetic of both paths — combining two children's
 //! partial rows through their branch transition matrices — sits behind the
@@ -331,6 +339,75 @@ impl KernelVariant {
             ),
         }
     }
+
+    /// `out = M·p` for every pattern of `p`, with exactly the per-lane
+    /// arithmetic this variant's combine loop spends on one child: the
+    /// off-path row a proposal set shares ([`KernelVariant::combine_half`]).
+    #[inline]
+    pub(crate) fn mat_vec_rows(self, m: &[[f64; 4]; 4], p: &[f64], out: &mut [f64]) {
+        match self {
+            KernelVariant::Scalar => {
+                for (out, p) in out.chunks_exact_mut(4).zip(p.chunks_exact(4)) {
+                    out.copy_from_slice(&mat_vec_scalar(m, p));
+                }
+            }
+            KernelVariant::Simd => crate::simd::mat_vec_rows_f64x4(m, p, out),
+            KernelVariant::SimdFma => crate::simd::dispatch::mat_vec_rows_avx2_fma(m, p, out),
+        }
+    }
+
+    /// [`KernelVariant::combine_rows`] with the off-path child's `M·p`
+    /// already in `off` (from [`KernelVariant::mat_vec_rows`]): one
+    /// matrix–vector product for the on-path child, then the same Hadamard
+    /// product, rescale and scale sum. Bit-identical to the full combine of
+    /// the same two children in either order, because IEEE products and sums
+    /// commute.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn combine_half(
+        self,
+        scale_threshold: f64,
+        m_on: &[[f64; 4]; 4],
+        p_on: &[f64],
+        s_on: &[f64],
+        off: &[f64],
+        s_off: &[f64],
+        out_partials: &mut [f64],
+        out_scales: &mut [f64],
+    ) {
+        match self {
+            KernelVariant::Scalar => combine_half_rows_scalar(
+                scale_threshold,
+                m_on,
+                p_on,
+                s_on,
+                off,
+                s_off,
+                out_partials,
+                out_scales,
+            ),
+            KernelVariant::Simd => crate::simd::combine_half_rows_f64x4(
+                scale_threshold,
+                m_on,
+                p_on,
+                s_on,
+                off,
+                s_off,
+                out_partials,
+                out_scales,
+            ),
+            KernelVariant::SimdFma => crate::simd::dispatch::combine_half_rows_avx2_fma(
+                scale_threshold,
+                m_on,
+                p_on,
+                s_on,
+                off,
+                s_off,
+                out_partials,
+                out_scales,
+            ),
+        }
+    }
 }
 
 impl Kernel {
@@ -601,6 +678,27 @@ impl LikelihoodWorkspace {
 struct GeneratorCache {
     tree: GeneTree,
     workspace: LikelihoodWorkspace,
+    /// The shared path of the latest proposal set scored against this
+    /// workspace, kept so its buffers are reused from batch to batch.
+    shared: SharedPath,
+}
+
+impl GeneratorCache {
+    fn new(tree: GeneTree, workspace: LikelihoodWorkspace) -> Self {
+        GeneratorCache { tree, workspace, shared: SharedPath::default() }
+    }
+}
+
+/// One dirty node's combine in a planned rescore. A full combine reads both
+/// children `a` and `b`; a half combine (`off_row` set) reads the on-path
+/// child `a` and takes the clean off-path child `b`'s `M_b·p_b` from row
+/// `off_row` of the set's [`SharedPath`].
+#[derive(Debug, Clone, Copy)]
+struct Combine {
+    node: NodeId,
+    a: NodeId,
+    b: NodeId,
+    off_row: Option<usize>,
 }
 
 /// Per-thread scratch for dirty-path evaluations, pooled so the hot loop
@@ -614,8 +712,12 @@ struct RescoreScratch {
     dirty_mark: Vec<bool>,
     /// Slot of each dirty node in the overlay buffers (`usize::MAX` = clean).
     dirty_index: Vec<usize>,
-    /// The dirty set as `(depth-from-root, node)`, sorted children-first.
+    /// The dirty nodes below the shared path (all of them when there is
+    /// none) as `(depth-from-root, node)`, sorted children-first.
     dirty: Vec<(usize, NodeId)>,
+    /// The planned combines, children before parents; combine `i` writes
+    /// overlay slot `i`.
+    plan: Vec<Combine>,
     /// Transition matrices for the children of dirty nodes.
     matrices: Vec<Option<[[f64; 4]; 4]>>,
     /// Overlay partial likelihoods, `[dirty-slot × PATTERN_CHUNK × 4]`.
@@ -645,6 +747,155 @@ thread_local! {
     static RESCORE_SCRATCH: RefCell<RescoreScratch> = RefCell::new(RescoreScratch::default());
 }
 
+/// The part of a proposal set's dirty paths that every member shares. All
+/// N proposals of a GMH iteration edit the same φ-neighbourhood (φ and its
+/// parent), so the path from φ's grandparent to the root, the clean
+/// off-path child of each node on it and those children's edge matrices are
+/// the same for every member. [`SharedPath::prepare`] finds the path once
+/// per set, from one reference member, and computes each clean off-path
+/// child's `M_off·p_off` once per pattern chunk; every member's plan then
+/// combines those nodes with [`KernelVariant::combine_half`]. A member
+/// whose tree leaves the path (another parent above the neighbourhood) is
+/// planned without it, and a node whose off-path edge length differs from
+/// the shared row's falls back to the full combine, so the shared path
+/// never changes a result.
+#[derive(Debug, Default)]
+struct SharedPath {
+    /// Whether each node is on the path, indexed by node id.
+    on_path: Vec<bool>,
+    /// The path's nodes, children first.
+    nodes: Vec<SharedNode>,
+    /// Number of off-path rows per pattern chunk.
+    n_rows: usize,
+    /// The off-path rows, `[chunk × row × PATTERN_CHUNK × 4]`.
+    rows: Vec<f64>,
+}
+
+/// One node of a [`SharedPath`], as the reference member has it.
+#[derive(Debug, Clone, Copy)]
+struct SharedNode {
+    node: NodeId,
+    parent: Option<NodeId>,
+    edges: [SharedEdge; 2],
+    /// The clean child's index in `edges` and its off-path row, when
+    /// exactly one child is clean.
+    off: Option<(usize, usize)>,
+}
+
+/// A child edge of a [`SharedNode`]: the child, its [`EdgeMatrixCache`]
+/// key, its transition matrix and whether the workspace's cache held it.
+#[derive(Debug, Clone, Copy)]
+struct SharedEdge {
+    child: NodeId,
+    key: u64,
+    matrix: [[f64; 4]; 4],
+    hit: bool,
+}
+
+impl SharedPath {
+    /// Find the path that `reference`'s edit `edited` shares with every
+    /// member making the same edit, and compute its off-path rows over
+    /// `workspace` with `pruner`'s kernel. The path stays empty when
+    /// `reference` does not match the workspace's arena or its edit
+    /// includes the root.
+    fn prepare<M: SubstitutionModel>(
+        &mut self,
+        pruner: &FelsensteinPruner<M>,
+        workspace: &LikelihoodWorkspace,
+        reference: &GeneTree,
+        edited: &[NodeId],
+    ) {
+        let n_nodes = workspace.n_nodes();
+        self.nodes.clear();
+        self.n_rows = 0;
+        self.on_path.clear();
+        self.on_path.resize(n_nodes, false);
+        if reference.n_nodes() != n_nodes {
+            return;
+        }
+        RESCORE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.reserve(n_nodes, 0);
+            mark_dirty_below(reference, edited, None, scratch);
+            // Parents first: a dirty node is on the path when it is not
+            // edited and its parent, if any, is on the path.
+            for &(_, node) in scratch.dirty.iter().rev() {
+                let parent = reference.parent(node);
+                if edited.contains(&node) || parent.is_some_and(|p| !self.on_path[p]) {
+                    continue;
+                }
+                self.on_path[node] = true;
+                let (a, b) = reference.children(node).expect("dirty nodes are interior");
+                let edges = [a, b].map(|child| {
+                    let key = edge_key(reference, child, pruner.rate);
+                    let cache = Some(&workspace.edge_matrices);
+                    let (matrix, hit) = edge_matrix(&pruner.model, cache, child, key);
+                    SharedEdge { child, key, matrix, hit }
+                });
+                let off = match [a, b].map(|child| scratch.dirty_mark[child]) {
+                    [true, false] => Some(1),
+                    [false, true] => Some(0),
+                    _ => None,
+                }
+                .map(|edge| {
+                    self.n_rows += 1;
+                    (edge, self.n_rows - 1)
+                });
+                self.nodes.push(SharedNode { node, parent, edges, off });
+            }
+            for &(_, node) in &scratch.dirty {
+                scratch.dirty_mark[node] = false;
+            }
+        });
+        self.nodes.reverse();
+
+        // Grow only: every row a member reads is rewritten below.
+        let width = PATTERN_CHUNK * 4;
+        let needed = workspace.chunks.len() * self.n_rows * width;
+        if self.rows.len() < needed {
+            self.rows.resize(needed, 0.0);
+        }
+        for (c, chunk) in workspace.chunks.iter().enumerate() {
+            for node in &self.nodes {
+                if let Some((edge, row)) = node.off {
+                    let SharedEdge { child, matrix, .. } = node.edges[edge];
+                    let po = chunk.partial_offset(child);
+                    let start = (c * self.n_rows + row) * width;
+                    pruner.variant.mat_vec_rows(
+                        &matrix,
+                        &chunk.partials[po..po + chunk.len * 4],
+                        &mut self.rows[start..start + chunk.len * 4],
+                    );
+                }
+            }
+        }
+    }
+
+    /// Off-path row `row` of pattern chunk `chunk`, over `len` patterns.
+    #[inline]
+    fn row(&self, chunk: usize, row: usize, len: usize) -> &[f64] {
+        let start = (chunk * self.n_rows + row) * PATTERN_CHUNK * 4;
+        &self.rows[start..start + len * 4]
+    }
+}
+
+/// The proposal set's common edit when the batch can share one path: at
+/// least two members edit nodes and all of them list the same nodes (members
+/// with an empty edit equal the generator and need no path). Returns a
+/// reference member and the edit.
+fn shared_edit<'a>(proposals: &[TreeProposal<'a>]) -> Option<(&'a GeneTree, &'a [NodeId])> {
+    let mut editing = proposals.iter().filter(|proposal| !proposal.edited.is_empty());
+    let first = editing.next()?;
+    let mut members = 1;
+    for proposal in editing {
+        if proposal.edited != first.edited {
+            return None;
+        }
+        members += 1;
+    }
+    (members >= 2).then_some((first.tree, first.edited))
+}
+
 /// Number of edges between `node` and the root.
 fn depth_from_root(tree: &GeneTree, node: NodeId) -> usize {
     let mut depth = 0;
@@ -656,32 +907,48 @@ fn depth_from_root(tree: &GeneTree, node: NodeId) -> usize {
     depth
 }
 
-/// Mark the dirty region of `tree` for the given edit: every edited interior
-/// node plus all of its ancestors (a changed node time also changes the
-/// branch to its parent, so invalidation always propagates to the root).
-/// Fills `dirty` with `(depth, node)` sorted children-before-parents,
-/// `dirty_index` with each node's slot, and `matrices` with the transition
-/// matrices of the children of dirty nodes — served from `edge_matrices`
-/// where the child's effective branch length is unchanged, recomputed
-/// otherwise. The cache is read-only here (rescores of different proposals
-/// run concurrently over one workspace); only `commit_to_cache` promotes.
-/// Returns `(cache hits, cache misses)` over those child matrices. The three
-/// node-indexed vectors must be in their neutral state on entry;
-/// `clear_dirty_marks` restores it.
-fn mark_dirty_region<M: SubstitutionModel>(
+/// The [`EdgeMatrixCache`] key of `child`'s edge: the bit pattern of its
+/// effective branch length.
+#[inline]
+fn edge_key(tree: &GeneTree, child: NodeId, rate: f64) -> u64 {
+    let t = tree.branch_length(child).expect("child of an interior node");
+    effective_branch_length(t, rate).to_bits()
+}
+
+/// The transition matrix of `child`'s edge with key `key`, served from
+/// `cache` where it holds that key, and whether it did (a hit).
+#[inline]
+fn edge_matrix<M: SubstitutionModel>(
     model: &M,
-    rate: f64,
+    cache: Option<&EdgeMatrixCache>,
+    child: NodeId,
+    key: u64,
+) -> ([[f64; 4]; 4], bool) {
+    match cache.and_then(|cache| cache.lookup(child, key)) {
+        Some(matrix) => (*matrix, true),
+        None => (model.transition_matrix(f64::from_bits(key)), false),
+    }
+}
+
+/// Mark the dirty nodes of `tree` for the given edit that lie below
+/// `shared`'s path: walk up from every edited node, marking each interior
+/// node, until a node already marked or on the path (a changed node time
+/// also changes the branch to its parent, so without a path the walk marks
+/// every edited interior node and all of its ancestors). Fills `dirty` with
+/// the marked nodes as `(depth, node)`, sorted children-before-parents.
+fn mark_dirty_below(
     tree: &GeneTree,
     edited: &[NodeId],
-    edge_matrices: Option<&EdgeMatrixCache>,
+    shared: Option<&SharedPath>,
     scratch: &mut RescoreScratch,
-) -> (usize, usize) {
+) {
+    let on_path = |node: NodeId| shared.is_some_and(|shared| shared.on_path[node]);
     scratch.dirty.clear();
     for &edit in edited {
         let mut cursor = Some(edit);
         while let Some(node) = cursor {
             if !tree.is_tip(node) {
-                if scratch.dirty_mark[node] {
+                if scratch.dirty_mark[node] || on_path(node) {
                     break;
                 }
                 scratch.dirty_mark[node] = true;
@@ -694,41 +961,101 @@ fn mark_dirty_region<M: SubstitutionModel>(
     // Children-before-parents: a parent is strictly closer to the root than
     // any of its descendants, so descending depth is a topological order.
     scratch.dirty.sort_unstable_by(|a, b| b.cmp(a));
+}
+
+/// Plan the dirty-path rescore of `tree` for the given edit into
+/// `scratch.plan`, children before parents: the dirty nodes below `shared`'s
+/// path with full combines, then the path's own nodes, each a half combine
+/// where its clean off-path child and that child's edge key match the
+/// shared row. Fills `dirty_index` with each node's overlay slot and
+/// `matrices` with the transition matrices of the children of dirty nodes —
+/// from the path's edges where the key matches, else served from
+/// `edge_matrices` where the child's effective branch length is unchanged,
+/// recomputed otherwise. The cache is read-only here (rescores of different
+/// proposals run concurrently over one workspace); only `commit_to_cache`
+/// promotes. When `tree` does not share the path, plans again without it.
+/// Returns `(cache hits, cache misses)` over the child matrices, the same
+/// with or without a path. The three node-indexed vectors must be in their
+/// neutral state on entry; `clear_dirty_marks` restores it.
+fn plan_rescore<M: SubstitutionModel>(
+    model: &M,
+    rate: f64,
+    tree: &GeneTree,
+    edited: &[NodeId],
+    edge_matrices: Option<&EdgeMatrixCache>,
+    shared: Option<&SharedPath>,
+    scratch: &mut RescoreScratch,
+) -> (usize, usize) {
+    mark_dirty_below(tree, edited, shared, scratch);
+    let RescoreScratch { dirty_mark, dirty_index, dirty, plan, matrices, .. } = &mut *scratch;
+    plan.clear();
     let mut hits = 0;
     let mut misses = 0;
-    for (slot, &(_, node)) in scratch.dirty.iter().enumerate() {
-        scratch.dirty_index[node] = slot;
+    for &(_, node) in dirty.iter() {
         let (a, b) = tree.children(node).expect("dirty nodes are interior");
+        dirty_index[node] = plan.len();
+        // mpcgs-analyze: allow(r2, reason = "pooled scratch: the vec is cleared, never dropped, so capacity is retained across rescores and no realloc happens once warm")
+        plan.push(Combine { node, a, b, off_row: None });
         for child in [a, b] {
-            if scratch.matrices[child].is_none() {
-                let t = tree.branch_length(child).expect("child of an interior node");
-                let eff = effective_branch_length(t, rate);
-                match edge_matrices.and_then(|cache| cache.lookup(child, eff.to_bits())) {
-                    Some(matrix) => {
-                        hits += 1;
-                        scratch.matrices[child] = Some(*matrix);
-                    }
-                    None => {
-                        misses += 1;
-                        scratch.matrices[child] = Some(model.transition_matrix(eff));
-                    }
+            let (matrix, hit) =
+                edge_matrix(model, edge_matrices, child, edge_key(tree, child, rate));
+            matrices[child] = Some(matrix);
+            hits += usize::from(hit);
+            misses += usize::from(!hit);
+        }
+    }
+    // `tree` shares the path when every node on it keeps its parent (so the
+    // path's top is still the root, and a walk that passed the root without
+    // meeting the path shows up here) and is dirty (one of its children is).
+    let mut fits = true;
+    for node in shared.map_or(&[][..], |shared| &shared.nodes[..]) {
+        let children = tree.children(node.node);
+        let Some((a, b)) = children.filter(|&(a, b)| {
+            tree.parent(node.node) == node.parent && (dirty_mark[a] || dirty_mark[b])
+        }) else {
+            fits = false;
+            break;
+        };
+        dirty_mark[node.node] = true;
+        dirty_index[node.node] = plan.len();
+        let mut combine = Combine { node: node.node, a, b, off_row: None };
+        for child in [a, b] {
+            let key = edge_key(tree, child, rate);
+            let edge = node.edges.iter().position(|e| e.child == child && e.key == key);
+            let (matrix, hit) = match edge {
+                Some(e) => (node.edges[e].matrix, node.edges[e].hit),
+                None => edge_matrix(model, edge_matrices, child, key),
+            };
+            matrices[child] = Some(matrix);
+            hits += usize::from(hit);
+            misses += usize::from(!hit);
+            if let Some((off, row)) = node.off {
+                if edge == Some(off) && !dirty_mark[child] {
+                    let on = if child == a { b } else { a };
+                    combine = Combine { node: node.node, a: on, b: child, off_row: Some(row) };
                 }
             }
         }
+        // mpcgs-analyze: allow(r2, reason = "pooled scratch: the vec is cleared, never dropped, so capacity is retained across rescores and no realloc happens once warm")
+        plan.push(combine);
     }
-    (hits, misses)
+    if fits {
+        (hits, misses)
+    } else {
+        clear_dirty_marks(scratch);
+        plan_rescore(model, rate, tree, edited, edge_matrices, None, scratch)
+    }
 }
 
-/// Undo `mark_dirty_region`'s writes so the scratch is neutral for the next
+/// Undo `plan_rescore`'s writes so the scratch is neutral for the next
 /// rescore on this thread. O(dirty set), not O(nodes).
-fn clear_dirty_marks(tree: &GeneTree, scratch: &mut RescoreScratch) {
-    for i in 0..scratch.dirty.len() {
-        let node = scratch.dirty[i].1;
-        scratch.dirty_mark[node] = false;
-        scratch.dirty_index[node] = usize::MAX;
-        let (a, b) = tree.children(node).expect("dirty nodes are interior");
-        scratch.matrices[a] = None;
-        scratch.matrices[b] = None;
+fn clear_dirty_marks(scratch: &mut RescoreScratch) {
+    let RescoreScratch { dirty_mark, dirty_index, plan, matrices, .. } = scratch;
+    for combine in plan.iter() {
+        dirty_mark[combine.node] = false;
+        dirty_index[combine.node] = usize::MAX;
+        matrices[combine.a] = None;
+        matrices[combine.b] = None;
     }
 }
 
@@ -1242,6 +1569,20 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
         proposal: &GeneTree,
         edited: &[NodeId],
     ) -> Result<DirtyEvaluation, PhyloError> {
+        self.rescore_in_set(workspace, None, proposal, edited)
+    }
+
+    /// [`FelsensteinPruner::rescore_with_workspace`] for one member of a
+    /// proposal set, taking the off-path rows of the set's `shared` path
+    /// wherever the member's tree matches them (see [`SharedPath`]). The
+    /// result is bit-identical with or without the path.
+    fn rescore_in_set(
+        &self,
+        workspace: &LikelihoodWorkspace,
+        shared: Option<&SharedPath>,
+        proposal: &GeneTree,
+        edited: &[NodeId],
+    ) -> Result<DirtyEvaluation, PhyloError> {
         if proposal.n_nodes() != workspace.n_nodes() {
             return Err(PhyloError::InvalidTree {
                 // mpcgs-analyze: allow(r2, reason = "cold validation-failure arm: allocates only when the rescore is already aborting with an error")
@@ -1265,39 +1606,40 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
         RESCORE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.reserve(n_nodes, 0);
-            let (matrix_cache_hits, matrix_cache_misses) = mark_dirty_region(
+            let (matrix_cache_hits, matrix_cache_misses) = plan_rescore(
                 &self.model,
                 self.rate,
                 proposal,
                 edited,
                 Some(&workspace.edge_matrices),
+                shared,
                 scratch,
             );
-            let n_dirty = scratch.dirty.len();
+            let n_dirty = scratch.plan.len();
             scratch.reserve(n_nodes, n_dirty);
 
             let root = proposal.root();
             debug_assert!(scratch.dirty_mark[root], "the dirty path always reaches the root");
             let mut total = 0.0;
             {
-                // Split the scratch into its independent buffers. The dirty
-                // set is ordered children-first, so every dirty child's
-                // overlay slot precedes its parent's: splitting the overlay
-                // at the parent's slot separates the rows the combine reads
-                // from the slot it writes, and the kernel writes the parent
+                // Split the scratch into its independent buffers. The plan
+                // is ordered children-first, so every dirty child's overlay
+                // slot precedes its parent's: splitting the overlay at the
+                // parent's slot separates the rows the combine reads from
+                // the slot it writes, and the kernel writes the parent
                 // straight into its overlay slot.
                 let RescoreScratch {
-                    dirty,
+                    plan,
                     dirty_index,
                     matrices,
                     overlay_partials,
                     overlay_scales,
                     ..
-                } = scratch;
-                for chunk in &workspace.chunks {
+                } = &mut *scratch;
+                for (c, chunk) in workspace.chunks.iter().enumerate() {
                     let len = chunk.len;
-                    for (di, &(_, node)) in dirty.iter().enumerate() {
-                        let (a, b) = proposal.children(node).expect("dirty nodes are interior");
+                    for (di, combine) in plan.iter().enumerate() {
+                        let Combine { a, b, .. } = *combine;
                         debug_assert!(
                             [a, b]
                                 .iter()
@@ -1305,25 +1647,42 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
                             "dirty children precede their parent"
                         );
                         let ma = matrices[a].expect("children of dirty nodes have matrices");
-                        let mb = matrices[b].expect("children of dirty nodes have matrices");
                         let (done_partials, slot_partials) =
                             overlay_partials.split_at_mut(di * PATTERN_CHUNK * 4);
                         let (done_scales, slot_scales) =
                             overlay_scales.split_at_mut(di * PATTERN_CHUNK);
                         let (pa, sa) =
                             read_rows(chunk, done_partials, done_scales, dirty_index, a, len);
-                        let (pb, sb) =
-                            read_rows(chunk, done_partials, done_scales, dirty_index, b, len);
-                        self.combine_children_rows(
-                            &ma,
-                            &mb,
-                            pa,
-                            pb,
-                            sa,
-                            sb,
-                            &mut slot_partials[..len * 4],
-                            &mut slot_scales[..len],
-                        );
+                        let out_partials = &mut slot_partials[..len * 4];
+                        let out_scales = &mut slot_scales[..len];
+                        if let (Some(row), Some(shared)) = (combine.off_row, shared) {
+                            // `b` is clean: its scales are the workspace's.
+                            let so = chunk.scale_offset(b);
+                            self.variant.combine_half(
+                                self.scale_threshold,
+                                &ma,
+                                pa,
+                                sa,
+                                shared.row(c, row, len),
+                                &chunk.scales[so..so + len],
+                                out_partials,
+                                out_scales,
+                            );
+                        } else {
+                            let mb = matrices[b].expect("children of dirty nodes have matrices");
+                            let (pb, sb) =
+                                read_rows(chunk, done_partials, done_scales, dirty_index, b, len);
+                            self.combine_children_rows(
+                                &ma,
+                                &mb,
+                                pa,
+                                pb,
+                                sa,
+                                sb,
+                                out_partials,
+                                out_scales,
+                            );
+                        }
                     }
                     let root_slot = dirty_index[root];
                     total += self.chunk_root_log_likelihood(
@@ -1334,7 +1693,7 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
                     );
                 }
             }
-            clear_dirty_marks(proposal, scratch);
+            clear_dirty_marks(scratch);
             Ok(DirtyEvaluation {
                 log_likelihood: total,
                 nodes_repruned: n_dirty,
@@ -1382,19 +1741,19 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
         let n_dirty = RESCORE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             scratch.reserve(n_nodes, 0);
-            mark_dirty_region(
+            plan_rescore(
                 &self.model,
                 self.rate,
                 accepted,
                 edited,
                 Some(&cache.workspace.edge_matrices),
+                None,
                 scratch,
             );
-            let RescoreScratch { dirty, matrices, .. } = &mut *scratch;
+            let RescoreScratch { plan, matrices, .. } = &mut *scratch;
             for chunk in &mut cache.workspace.chunks {
                 let len = chunk.len;
-                for &(_, node) in dirty.iter() {
-                    let (a, b) = accepted.children(node).expect("dirty nodes are interior");
+                for &Combine { node, a, b, .. } in plan.iter() {
                     let ma = matrices[a].expect("children of dirty nodes have matrices");
                     let mb = matrices[b].expect("children of dirty nodes have matrices");
                     self.combine_in_chunk(chunk, &ma, &mb, node, a, b);
@@ -1413,17 +1772,15 @@ impl<M: SubstitutionModel> FelsensteinPruner<M> {
             // and both endpoints of such an edge are on the dirty path), so
             // after this loop every memo entry again matches its node's
             // effective branch length in `accepted`.
-            for &(_, node) in dirty.iter() {
-                let (a, b) = accepted.children(node).expect("dirty nodes are interior");
+            for &Combine { a, b, .. } in plan.iter() {
                 for child in [a, b] {
-                    let t = accepted.branch_length(child).expect("child of an interior node");
-                    let key = effective_branch_length(t, self.rate).to_bits();
+                    let key = edge_key(accepted, child, self.rate);
                     let matrix = matrices[child].expect("children of dirty nodes have matrices");
                     cache.workspace.edge_matrices.store(child, key, matrix);
                 }
             }
-            let n_dirty = dirty.len();
-            clear_dirty_marks(accepted, scratch);
+            let n_dirty = plan.len();
+            clear_dirty_marks(scratch);
             n_dirty
         });
         cache.workspace.log_likelihood =
@@ -1454,35 +1811,86 @@ fn combine_children_rows_scalar(
     out_partials: &mut [f64],
     out_scales: &mut [f64],
 ) {
-    let len = out_scales.len();
-    for p in 0..len {
-        let pa4 = &pa[p * 4..p * 4 + 4];
-        let pb4 = &pb[p * 4..p * 4 + 4];
-        let mut vec = [0.0f64; 4];
-        let mut max = 0.0f64;
-        for x in 0..4 {
-            let mut sum_a = 0.0;
-            let mut sum_b = 0.0;
-            for y in 0..4 {
-                sum_a += ma[x][y] * pa4[y];
-                sum_b += mb[x][y] * pb4[y];
-            }
-            let v = sum_a * sum_b;
-            vec[x] = v;
-            if v > max {
-                max = v;
-            }
-        }
-        let mut scale = sa[p] + sb[p];
-        if max > 0.0 && max < scale_threshold {
-            for v in &mut vec {
-                *v /= max;
-            }
-            scale += max.ln();
-        }
-        out_partials[p * 4..p * 4 + 4].copy_from_slice(&vec);
-        out_scales[p] = scale;
+    for p in 0..out_scales.len() {
+        let va = mat_vec_scalar(ma, &pa[p * 4..p * 4 + 4]);
+        let vb = mat_vec_scalar(mb, &pb[p * 4..p * 4 + 4]);
+        store_scalar_row(scale_threshold, va, &vb, sa[p] + sb[p], p, out_partials, out_scales);
     }
+}
+
+/// [`combine_children_rows_scalar`] with the off-path child's `M·p`
+/// precomputed in `off` (see [`KernelVariant::combine_half`]).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn combine_half_rows_scalar(
+    scale_threshold: f64,
+    m_on: &[[f64; 4]; 4],
+    p_on: &[f64],
+    s_on: &[f64],
+    off: &[f64],
+    s_off: &[f64],
+    out_partials: &mut [f64],
+    out_scales: &mut [f64],
+) {
+    for p in 0..out_scales.len() {
+        let v_on = mat_vec_scalar(m_on, &p_on[p * 4..p * 4 + 4]);
+        let v_off = &off[p * 4..p * 4 + 4];
+        store_scalar_row(
+            scale_threshold,
+            v_on,
+            v_off,
+            s_on[p] + s_off[p],
+            p,
+            out_partials,
+            out_scales,
+        );
+    }
+}
+
+/// `M·p` for one pattern in the scalar kernel's order: per row, a sum from
+/// zero over `y = 0..4`.
+#[inline(always)]
+fn mat_vec_scalar(m: &[[f64; 4]; 4], p: &[f64]) -> [f64; 4] {
+    let mut out = [0.0f64; 4];
+    for (out, row) in out.iter_mut().zip(m) {
+        let mut sum = 0.0;
+        for y in 0..4 {
+            sum += row[y] * p[y];
+        }
+        *out = sum;
+    }
+    out
+}
+
+/// The scalar kernel's per-pattern tail: the Hadamard product of the two
+/// children's `M·p`, the underflow rescale, and the store of pattern `p`.
+#[inline(always)]
+fn store_scalar_row(
+    scale_threshold: f64,
+    va: [f64; 4],
+    vb: &[f64],
+    mut scale: f64,
+    p: usize,
+    out_partials: &mut [f64],
+    out_scales: &mut [f64],
+) {
+    let mut vec = [0.0f64; 4];
+    let mut max = 0.0f64;
+    for x in 0..4 {
+        let v = va[x] * vb[x];
+        vec[x] = v;
+        if v > max {
+            max = v;
+        }
+    }
+    if max > 0.0 && max < scale_threshold {
+        for v in &mut vec {
+            *v /= max;
+        }
+        scale += max.ln();
+    }
+    out_partials[p * 4..p * 4 + 4].copy_from_slice(&vec);
+    out_scales[p] = scale;
 }
 
 /// Split a buffer of `width`-element rows, one per node, into shared
@@ -1560,7 +1968,7 @@ impl<M: SubstitutionModel> LikelihoodEngine for FelsensteinPruner<M> {
         // hit the cache entry (tree key included) is kept intact so nothing
         // is cloned on the hot path.
         let taken = { self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take() };
-        let (cache, generator_cache_hit, mut matrix_cache_hits, mut matrix_cache_misses) =
+        let (mut cache, generator_cache_hit, mut matrix_cache_hits, mut matrix_cache_misses) =
             match taken {
                 Some(cache) if cache.tree == *generator => (cache, true, 0, 0),
                 stale => {
@@ -1572,7 +1980,7 @@ impl<M: SubstitutionModel> LikelihoodEngine for FelsensteinPruner<M> {
                     let seed = stale.as_ref().map(|cache| &cache.workspace.edge_matrices);
                     let (workspace, hits, misses) =
                         self.build_workspace_seeded(backend, generator, seed)?;
-                    (GeneratorCache { tree: generator.clone(), workspace }, false, hits, misses)
+                    (GeneratorCache::new(generator.clone(), workspace), false, hits, misses)
                 }
             };
         let nodes_full_pruned = if generator_cache_hit { 0 } else { generator.n_internal() };
@@ -1586,10 +1994,17 @@ impl<M: SubstitutionModel> LikelihoodEngine for FelsensteinPruner<M> {
             generator.n_nodes(),
             generator.n_tips(),
         );
-        let workspace_ref = &cache.workspace;
+        // A set whose members share one edit shares the path above it: its
+        // order, edge matrices and off-path rows are computed once here.
+        let set = shared_edit(proposals);
+        if let Some((reference, edited)) = set {
+            cache.shared.prepare(self, &cache.workspace, reference, edited);
+        }
+        let GeneratorCache { workspace, shared, .. } = &cache;
+        let shared = set.map(|_| shared);
         let results = backend.map_grid_profiled(Some(&profile), 1, proposals.len(), |_, p| {
             let proposal = &proposals[p];
-            self.rescore_with_workspace(workspace_ref, proposal.tree, proposal.edited)
+            self.rescore_in_set(workspace, shared, proposal.tree, proposal.edited)
         });
 
         let generator_log_likelihood = cache.workspace.log_likelihood;
@@ -1652,7 +2067,7 @@ impl<M: SubstitutionModel> LikelihoodEngine for FelsensteinPruner<M> {
             None => None,
             Some(tree) => {
                 let workspace = self.build_workspace(Backend::Serial, tree)?;
-                Some(GeneratorCache { tree: tree.clone(), workspace })
+                Some(GeneratorCache::new(tree.clone(), workspace))
             }
         };
         *self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = cache;
@@ -1794,7 +2209,7 @@ impl<M: SubstitutionModel> LikelihoodEngine for MultiLocusEngine<M> {
                         engine.build_workspace_seeded(backend, generator, seed)?;
                     matrix_cache_hits += hits;
                     matrix_cache_misses += misses;
-                    GeneratorCache { tree: generator.clone(), workspace }
+                    GeneratorCache::new(generator.clone(), workspace)
                 }
             };
             shards.push(cache);
@@ -1818,6 +2233,15 @@ impl<M: SubstitutionModel> LikelihoodEngine for MultiLocusEngine<M> {
             generator.n_nodes(),
             generator.n_tips(),
         );
+        // A set sharing one edit shares the path above it in every locus;
+        // each locus computes its own off-path rows (edge lengths scale by
+        // the locus's rate) once, before the dispatch.
+        let set = shared_edit(proposals);
+        if let Some((reference, edited)) = set {
+            for (engine, shard) in self.engines.iter().zip(&mut shards) {
+                shard.shared.prepare(engine, &shard.workspace, reference, edited);
+            }
+        }
         let shards_ref = &shards;
         let results = backend.map_grid_profiled(
             Some(&profile),
@@ -1825,8 +2249,10 @@ impl<M: SubstitutionModel> LikelihoodEngine for MultiLocusEngine<M> {
             n_proposals,
             |locus, p| {
                 let proposal = &proposals[p];
-                self.engines[locus].rescore_with_workspace(
-                    &shards_ref[locus].workspace,
+                let shard = &shards_ref[locus];
+                self.engines[locus].rescore_in_set(
+                    &shard.workspace,
+                    set.map(|_| &shard.shared),
                     proposal.tree,
                     proposal.edited,
                 )
@@ -2549,6 +2975,256 @@ mod tests {
                     "{label}, {kernel}"
                 );
             }
+        }
+    }
+
+    /// How many of `tree`'s combines its plan takes as half combines from
+    /// `shared`; leaves the thread's scratch neutral.
+    fn half_combines<M: SubstitutionModel>(
+        pruner: &FelsensteinPruner<M>,
+        workspace: &LikelihoodWorkspace,
+        shared: &SharedPath,
+        tree: &GeneTree,
+        edited: &[NodeId],
+    ) -> usize {
+        RESCORE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.reserve(tree.n_nodes(), 0);
+            let cache = Some(&workspace.edge_matrices);
+            plan_rescore(&pruner.model, pruner.rate, tree, edited, cache, Some(shared), scratch);
+            let halves = scratch.plan.iter().filter(|c| c.off_row.is_some()).count();
+            clear_dirty_marks(scratch);
+            halves
+        })
+    }
+
+    /// The members of a one-φ proposal set against `tree`, as `(tree, edit,
+    /// honest)`: six retimings of `target` and its parent by their own
+    /// steps, the generator itself with an empty edit, and — when the
+    /// parent's sibling is interior — a member that also retimes that
+    /// sibling without listing it. That last member's grandparent no longer
+    /// matches the shared off-path row, so the node must fall back to the
+    /// full combine; its edit is not honest, so no full prune reproduces it.
+    fn one_phi_members(
+        tree: &GeneTree,
+        target: NodeId,
+        step: f64,
+    ) -> Vec<(GeneTree, Vec<NodeId>, bool)> {
+        let mut members: Vec<(GeneTree, Vec<NodeId>, bool)> = (0..6)
+            .map(|i| {
+                let (proposal, edited) = perturb(tree, target, step * (i + 1) as f64);
+                (proposal, edited, true)
+            })
+            .collect();
+        members.push((tree.clone(), Vec::new(), true));
+        let parent = tree.parent(target).unwrap();
+        if let Some(sibling) = tree.sibling(parent).filter(|&s| !tree.is_tip(s)) {
+            let (mut proposal, edited) = perturb(tree, target, step * 7.0);
+            proposal.set_time(sibling, tree.time(sibling) + step * 0.5);
+            proposal.validate().unwrap();
+            members.push((proposal, edited, false));
+        }
+        members
+    }
+
+    #[test]
+    fn shared_path_sets_are_bit_identical_to_single_rescores_and_full_prunes() {
+        // One-φ sets, the shape of a GMH iteration, on random 5–40-tip
+        // trees: the batch shares the path from the grandparent to the root.
+        // The deep variant (every time ×1e-12) drives the larger trees'
+        // upper partials below the rescale threshold. Steps stay under the
+        // smallest gap between node times.
+        let mut rng = TestRng(0x0005_11A4_ED00);
+        let mut rescaled_any = false;
+        let mut shared_any = false;
+        for case in 0..10u64 {
+            let n_tips = 5 + (rng.next_u64() % 36) as usize;
+            let (alignment, shallow) = random_fixture(0x5E70 + case, n_tips, 300);
+            let deep = rescaled_times(&shallow, 1e-12);
+            let targets = shallow.non_root_internal_nodes();
+            let target = targets[(rng.next_u64() as usize) % targets.len()];
+            for (label, tree, step) in [("shallow", &shallow, 1e-4), ("deep", &deep, 2e-16)] {
+                let members = one_phi_members(tree, target, step);
+                let altered = members.iter().any(|(_, _, honest)| !honest);
+                let proposals: Vec<TreeProposal<'_>> =
+                    members.iter().map(|(t, e, _)| TreeProposal { tree: t, edited: e }).collect();
+                for kernel in [Kernel::Scalar, Kernel::Simd, Kernel::Auto] {
+                    let what = format!("{n_tips} tips, {label}, {kernel}");
+                    let pruner =
+                        FelsensteinPruner::new(&alignment, Jc69::new()).with_kernel(kernel);
+                    let workspace = pruner.build_workspace(Backend::Serial, tree).unwrap();
+                    rescaled_any |=
+                        workspace.chunks.iter().any(|c| c.scales.iter().any(|&x| x != 0.0));
+
+                    pruner.log_likelihood_batch(Backend::Serial, tree, &proposals).unwrap();
+                    let batch =
+                        pruner.log_likelihood_batch(Backend::Serial, tree, &proposals).unwrap();
+                    let parallel =
+                        pruner.log_likelihood_batch(Backend::Rayon, tree, &proposals).unwrap();
+                    assert!(batch.generator_cache_hit);
+                    assert_eq!(batch, parallel, "{what}");
+
+                    // The set shared the path above the neighbourhood: one
+                    // off-path row per node from the grandparent up, every
+                    // one a half combine for the honest members, all but
+                    // the grandparent's for the altered one.
+                    {
+                        let slot = pruner.cache.lock().unwrap();
+                        let shared = &slot.as_ref().unwrap().shared;
+                        let grandparent = tree.grandparent(target);
+                        let rows = grandparent.map_or(0, |g| depth_from_root(tree, g) + 1);
+                        assert_eq!(shared.n_rows, rows, "{what}: off-path rows");
+                        shared_any |= rows > 0;
+                        for (proposal, edited, honest) in members.iter().filter(|m| !m.1.is_empty())
+                        {
+                            let halves =
+                                half_combines(&pruner, &workspace, shared, proposal, edited);
+                            assert_eq!(halves, rows - usize::from(!honest), "{what}");
+                        }
+                    }
+
+                    let (mut nodes, mut hits, mut misses) = (0, 0, 0);
+                    for ((proposal, edited, honest), &batched) in
+                        members.iter().zip(&batch.log_likelihoods)
+                    {
+                        let single =
+                            pruner.rescore_with_workspace(&workspace, proposal, edited).unwrap();
+                        assert_eq!(batched.to_bits(), single.log_likelihood.to_bits(), "{what}");
+                        if *honest {
+                            let full = pruner.build_workspace(Backend::Serial, proposal).unwrap();
+                            assert_eq!(
+                                batched.to_bits(),
+                                full.log_likelihood().to_bits(),
+                                "{what}"
+                            );
+                        }
+                        assert!(batched.is_finite());
+                        nodes += single.nodes_repruned;
+                        hits += single.matrix_cache_hits;
+                        misses += single.matrix_cache_misses;
+                    }
+                    assert_eq!(
+                        (batch.nodes_repruned, batch.matrix_cache_hits, batch.matrix_cache_misses),
+                        (nodes, hits, misses),
+                        "{what}"
+                    );
+                    if altered {
+                        assert!(misses > 0, "{what}: the altered off-path edge misses the cache");
+                    }
+
+                    // A set of one takes the per-proposal loop, with the
+                    // same bits.
+                    let one = pruner.log_likelihood_batch(Backend::Serial, tree, &proposals[..1]);
+                    let one = one.unwrap();
+                    assert_eq!(
+                        one.log_likelihoods[0].to_bits(),
+                        batch.log_likelihoods[0].to_bits()
+                    );
+                }
+            }
+        }
+        assert!(rescaled_any, "no case took the rescale path");
+        assert!(shared_any, "no case shared a path");
+    }
+
+    #[test]
+    fn shared_path_never_changes_a_members_score() {
+        // Members need not fit the path their set prepared: here each is an
+        // unrelated tree over the same arena, listing the same edit. Where
+        // its walk passes the root, a path parent differs or a path node is
+        // clean, the member is planned without the path; elsewhere it takes
+        // the rows it matches. Either way its score and counters equal
+        // scoring it alone.
+        let (alignment, tree) = random_fixture(0x7A1, 12, 200);
+        let pruner = FelsensteinPruner::new(&alignment, Jc69::new());
+        let workspace = pruner.build_workspace(Backend::Serial, &tree).unwrap();
+        let target = tree
+            .non_root_internal_nodes()
+            .into_iter()
+            .find(|&t| tree.grandparent(t).is_some_and(|g| !tree.is_root(g)))
+            .unwrap();
+        let (reference, edited) = perturb(&tree, target, 1e-4);
+        let mut shared = SharedPath::default();
+        shared.prepare(&pruner, &workspace, &reference, &edited);
+        assert!(shared.n_rows >= 2);
+        let mut halves = 0;
+        for seed in 0..16 {
+            let (_, other) = random_fixture(0x7A2 + seed, 12, 200);
+            for member in [&reference, &other] {
+                let alone = pruner.rescore_in_set(&workspace, None, member, &edited).unwrap();
+                let in_set =
+                    pruner.rescore_in_set(&workspace, Some(&shared), member, &edited).unwrap();
+                assert_eq!(alone.log_likelihood.to_bits(), in_set.log_likelihood.to_bits());
+                assert_eq!(alone, in_set, "tree {seed}");
+                halves += half_combines(&pruner, &workspace, &shared, member, &edited);
+            }
+        }
+        assert!(halves >= 16 * shared.n_rows, "the reference member always takes the path");
+    }
+
+    #[test]
+    fn multi_locus_shared_path_sets_match_per_locus_rescores() {
+        // Three loci over the same 24 tips, at rates 1, 0.5 and 2: each
+        // locus keys its edge matrices on its own effective branch lengths,
+        // so each prepares its own off-path rows.
+        let (first, tree) = random_fixture(0x3100, 24, 400);
+        let (second, _) = random_fixture(0x3101, 24, 250);
+        let (third, _) = random_fixture(0x3102, 24, 600);
+        let dataset = Dataset::new(vec![
+            Locus::new("l0", first),
+            Locus::with_rate("l1", second, 0.5).unwrap(),
+            Locus::with_rate("l2", third, 2.0).unwrap(),
+        ])
+        .unwrap();
+        let target = tree
+            .non_root_internal_nodes()
+            .into_iter()
+            .find(|&t| tree.grandparent(t).is_some_and(|g| !tree.is_root(g)))
+            .unwrap();
+        let members = one_phi_members(&tree, target, 1e-4);
+        let proposals: Vec<TreeProposal<'_>> =
+            members.iter().map(|(t, e, _)| TreeProposal { tree: t, edited: e }).collect();
+        for kernel in [Kernel::Scalar, Kernel::Simd, Kernel::Auto] {
+            let engine = MultiLocusEngine::new(&dataset, |_| Jc69::new()).with_kernel(kernel);
+            engine.log_likelihood_batch(Backend::Serial, &tree, &proposals).unwrap();
+            let batch = engine.log_likelihood_batch(Backend::Serial, &tree, &proposals).unwrap();
+            let parallel = engine.log_likelihood_batch(Backend::Rayon, &tree, &proposals).unwrap();
+            assert!(batch.generator_cache_hit);
+            assert_eq!(batch, parallel, "{kernel}");
+            for locus in engine.locus_engines() {
+                let slot = locus.cache.lock().unwrap();
+                assert!(slot.as_ref().unwrap().shared.n_rows >= 2, "{kernel}: path shared");
+            }
+
+            let workspaces: Vec<LikelihoodWorkspace> = engine
+                .locus_engines()
+                .iter()
+                .map(|locus| locus.build_workspace(Backend::Serial, &tree).unwrap())
+                .collect();
+            let (mut nodes, mut hits, mut misses) = (0, 0, 0);
+            for ((proposal, edited, honest), &batched) in members.iter().zip(&batch.log_likelihoods)
+            {
+                let mut single = 0.0;
+                let mut full = 0.0;
+                for (locus, workspace) in engine.locus_engines().iter().zip(&workspaces) {
+                    let eval = locus.rescore_with_workspace(workspace, proposal, edited).unwrap();
+                    single += eval.log_likelihood;
+                    nodes += eval.nodes_repruned;
+                    hits += eval.matrix_cache_hits;
+                    misses += eval.matrix_cache_misses;
+                    full +=
+                        locus.build_workspace(Backend::Serial, proposal).unwrap().log_likelihood();
+                }
+                assert_eq!(batched.to_bits(), single.to_bits(), "{kernel}");
+                if *honest {
+                    assert_eq!(batched.to_bits(), full.to_bits(), "{kernel}");
+                }
+            }
+            assert_eq!(
+                (batch.nodes_repruned, batch.matrix_cache_hits, batch.matrix_cache_misses),
+                (nodes, hits, misses),
+                "{kernel}"
+            );
         }
     }
 

@@ -32,9 +32,15 @@
 //! broadcasts, one multiply and three FMAs per child and pattern, with
 //! exactly the per-lane arithmetic of the fused `F64x4` form, so its output
 //! is bit-identical to that form at about 1.6× its speed. `dispatch` is the
-//! one place in the crate allowed to use `unsafe`: the call into the
-//! `#[target_feature]` function, guarded by the runtime probe, and the
-//! unaligned vector store.
+//! one place in the crate allowed to use `unsafe`: the calls into the
+//! `#[target_feature]` functions, guarded by the runtime probe, and the
+//! unaligned vector loads and stores.
+//!
+//! Each four-lane loop has a *half* sibling for the dirty path a proposal
+//! set shares: `mat_vec_rows_*` computes a clean off-path child's `M·p` once
+//! per set, and `combine_half_rows_*` combines a path node from the on-path
+//! child's product times that row. The half loops run the full loops'
+//! per-lane instructions, so their output is bit-identical to them.
 //!
 //! Four lanes is exactly one conditional-likelihood vector (one probability
 //! per nucleotide), which is why the structure-of-arrays
@@ -167,6 +173,51 @@ pub(crate) fn combine_rows_f64x4(
     }
 }
 
+/// `M·p` for every pattern of `p`, written to `out`, with exactly the
+/// per-lane arithmetic [`combine_rows_f64x4`] spends on one child: the
+/// shared off-path row that [`combine_half_rows_f64x4`] multiplies by.
+#[inline(always)]
+pub(crate) fn mat_vec_rows_f64x4(m: &[[f64; 4]; 4], p: &[f64], out: &mut [f64]) {
+    let cols = F64x4::columns(m);
+    for (out, p) in out.chunks_exact_mut(4).zip(p.chunks_exact(4)) {
+        F64x4::mat_vec(&cols, p).write_to(out);
+    }
+}
+
+/// [`combine_rows_f64x4`] with the off-path child's product already in
+/// `off` (from [`mat_vec_rows_f64x4`]): one matrix–vector product for the
+/// on-path child, then the same Hadamard product, rescale test and scale
+/// sum. Lane products and scale sums commute exactly in IEEE arithmetic, so
+/// the output is bit-identical to the full loop whichever child is on the
+/// path.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn combine_half_rows_f64x4(
+    scale_threshold: f64,
+    m_on: &[[f64; 4]; 4],
+    p_on: &[f64],
+    s_on: &[f64],
+    off: &[f64],
+    s_off: &[f64],
+    out_partials: &mut [f64],
+    out_scales: &mut [f64],
+) {
+    let cols = F64x4::columns(m_on);
+    let len = out_scales.len();
+    let mut needs_rescale = false;
+    for p in 0..len {
+        let v = F64x4::mat_vec(&cols, &p_on[p * 4..p * 4 + 4])
+            * F64x4::from_slice(&off[p * 4..p * 4 + 4]);
+        let max = v.max_element();
+        needs_rescale |= max > 0.0 && max < scale_threshold;
+        v.write_to(&mut out_partials[p * 4..p * 4 + 4]);
+        out_scales[p] = s_on[p] + s_off[p];
+    }
+    if needs_rescale {
+        rescale_rows(scale_threshold, out_partials, out_scales);
+    }
+}
+
 /// The exact second pass shared by both four-lane loops: every pattern of
 /// the first `out_scales.len()` whose largest lane lies in
 /// `(0, scale_threshold)` is divided by that lane and the lane's `ln` is
@@ -198,8 +249,8 @@ pub(crate) mod dispatch {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     use arch::{
         __m256d, _mm256_and_pd, _mm256_broadcast_sd, _mm256_cmp_pd, _mm256_fmadd_pd,
-        _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd, _mm256_setr_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _CMP_GT_OQ, _CMP_LT_OQ,
+        _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd,
+        _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _CMP_GT_OQ, _CMP_LT_OQ,
     };
     #[cfg(target_arch = "x86")]
     use std::arch::x86 as arch;
@@ -298,6 +349,123 @@ pub(crate) mod dispatch {
         if _mm256_movemask_pd(tiny) != 0 {
             super::rescale_rows(scale_threshold, out_partials, out_scales);
         }
+    }
+
+    /// `M·p` for every pattern, with [`mat_vec`]'s per-lane arithmetic: the
+    /// shared off-path row of [`combine_half_rows_avx2_fma_impl`].
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn mat_vec_rows_avx2_fma_impl(m: &[[f64; 4]; 4], p: &[f64], out: &mut [f64]) {
+        let cols = columns(m);
+        for (out, p) in out.chunks_exact_mut(4).zip(p.chunks_exact(4)) {
+            // SAFETY: `out` is one chunk of `chunks_exact_mut(4)`: four
+            // contiguous, exclusively borrowed `f64`s.
+            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), mat_vec(&cols, p)) };
+        }
+    }
+
+    /// [`combine_rows_avx2_fma_impl`] with the off-path child's product
+    /// precomputed in `off`: per pattern a broadcast multiply and three FMAs
+    /// for the on-path child, one load and one multiply. Per lane this is the
+    /// full loop's arithmetic with the Hadamard product's operands possibly
+    /// swapped, which IEEE multiplication does not notice.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    fn combine_half_rows_avx2_fma_impl(
+        scale_threshold: f64,
+        m_on: &[[f64; 4]; 4],
+        p_on: &[f64],
+        s_on: &[f64],
+        off: &[f64],
+        s_off: &[f64],
+        out_partials: &mut [f64],
+        out_scales: &mut [f64],
+    ) {
+        let len = out_scales.len();
+        let cols = columns(m_on);
+        let zero = _mm256_setzero_pd();
+        let threshold = _mm256_set1_pd(scale_threshold);
+        let mut tiny = _mm256_setzero_pd();
+        let rows = out_partials[..len * 4]
+            .chunks_exact_mut(4)
+            .zip(p_on[..len * 4].chunks_exact(4))
+            .zip(off[..len * 4].chunks_exact(4));
+        for ((out, on), off) in rows {
+            // SAFETY: `off` is one chunk of `chunks_exact(4)`: four
+            // contiguous, initialised `f64`s, which the 32-byte unaligned
+            // load reads and nothing beyond.
+            let off = unsafe { _mm256_loadu_pd(off.as_ptr()) };
+            let v = _mm256_mul_pd(mat_vec(&cols, on), off);
+            let in_range = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(v, zero),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(v, threshold),
+            );
+            tiny = _mm256_or_pd(tiny, in_range);
+            // SAFETY: as in `combine_rows_avx2_fma_impl`, `out` is exactly
+            // four exclusively borrowed `f64`s.
+            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        }
+        for ((scale, &a), &b) in out_scales.iter_mut().zip(&s_on[..len]).zip(&s_off[..len]) {
+            *scale = a + b;
+        }
+        if _mm256_movemask_pd(tiny) != 0 {
+            super::rescale_rows(scale_threshold, out_partials, out_scales);
+        }
+    }
+
+    /// Safe entry point for [`mat_vec_rows_avx2_fma_impl`], with the same
+    /// probe and four-lane fallback as [`combine_rows_avx2_fma`].
+    pub(crate) fn mat_vec_rows_avx2_fma(m: &[[f64; 4]; 4], p: &[f64], out: &mut [f64]) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if avx2_fma_supported() {
+            // SAFETY: the probe just confirmed AVX2 and FMA on this CPU.
+            unsafe { mat_vec_rows_avx2_fma_impl(m, p, out) };
+            return;
+        }
+        super::mat_vec_rows_f64x4(m, p, out);
+    }
+
+    /// Safe entry point for [`combine_half_rows_avx2_fma_impl`], with the
+    /// same probe and four-lane fallback as [`combine_rows_avx2_fma`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn combine_half_rows_avx2_fma(
+        scale_threshold: f64,
+        m_on: &[[f64; 4]; 4],
+        p_on: &[f64],
+        s_on: &[f64],
+        off: &[f64],
+        s_off: &[f64],
+        out_partials: &mut [f64],
+        out_scales: &mut [f64],
+    ) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if avx2_fma_supported() {
+            // SAFETY: the probe just confirmed AVX2 and FMA on this CPU.
+            unsafe {
+                combine_half_rows_avx2_fma_impl(
+                    scale_threshold,
+                    m_on,
+                    p_on,
+                    s_on,
+                    off,
+                    s_off,
+                    out_partials,
+                    out_scales,
+                );
+            }
+            return;
+        }
+        super::combine_half_rows_f64x4(
+            scale_threshold,
+            m_on,
+            p_on,
+            s_on,
+            off,
+            s_off,
+            out_partials,
+            out_scales,
+        );
     }
 
     /// Safe entry point for the AVX2+FMA combine loop. Re-checks the CPU
@@ -527,6 +695,73 @@ pub(crate) mod dispatch {
                     }
                     if matches!(kind, Rows::NanLane) && len > 1 {
                         assert!(got_p[4..8].iter().all(|x| x.is_nan()));
+                    }
+                }
+            }
+        }
+
+        type FullLoop = fn(
+            f64,
+            &[[f64; 4]; 4],
+            &[[f64; 4]; 4],
+            &[f64],
+            &[f64],
+            &[f64],
+            &[f64],
+            &mut [f64],
+            &mut [f64],
+        );
+        type RowsLoop = fn(&[[f64; 4]; 4], &[f64], &mut [f64]);
+        type HalfLoop =
+            fn(f64, &[[f64; 4]; 4], &[f64], &[f64], &[f64], &[f64], &mut [f64], &mut [f64]);
+
+        #[test]
+        fn half_loops_match_the_full_loops_bit_for_bit() {
+            let mut loops: Vec<(&str, FullLoop, RowsLoop, HalfLoop)> = vec![(
+                "f64x4",
+                super::super::combine_rows_f64x4,
+                super::super::mat_vec_rows_f64x4,
+                super::super::combine_half_rows_f64x4,
+            )];
+            if avx2_fma_supported() {
+                loops.push((
+                    "avx2+fma",
+                    combine_rows_avx2_fma,
+                    super::mat_vec_rows_avx2_fma,
+                    super::combine_half_rows_avx2_fma,
+                ));
+            }
+            let mut rng = Uniform(0x4A1F_2017);
+            let kinds =
+                [Rows::Unit, Rows::Deep, Rows::Mixed, Rows::Zero, Rows::Subnormal, Rows::NanLane];
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for len in [0, 1, 3, 142, 256] {
+                for kind in kinds {
+                    let (ma, mb) = (matrix(&mut rng), matrix(&mut rng));
+                    let pa = rows(&mut rng, kind, len);
+                    let pb = rows(
+                        &mut rng,
+                        if matches!(kind, Rows::NanLane) { Rows::Unit } else { kind },
+                        len,
+                    );
+                    let sa: Vec<f64> = (0..len).map(|_| -50.0 * rng.next()).collect();
+                    let sb: Vec<f64> = (0..len).map(|_| -50.0 * rng.next()).collect();
+                    for &(name, full, mat_vec_rows, half) in &loops {
+                        let mut want_p = vec![0.0; len * 4];
+                        let mut want_s = vec![0.0; len];
+                        full(1e-100, &ma, &mb, &pa, &pb, &sa, &sb, &mut want_p, &mut want_s);
+                        // Either child may be the one on the path.
+                        for (m_on, p_on, s_on, m_off, p_off, s_off) in
+                            [(&ma, &pa, &sa, &mb, &pb, &sb), (&mb, &pb, &sb, &ma, &pa, &sa)]
+                        {
+                            let mut off = vec![7.0; len * 4];
+                            mat_vec_rows(m_off, p_off, &mut off);
+                            let mut got_p = vec![7.0; len * 4];
+                            let mut got_s = vec![7.0; len];
+                            half(1e-100, m_on, p_on, s_on, &off, s_off, &mut got_p, &mut got_s);
+                            assert_eq!(bits(&got_p), bits(&want_p), "{name}, {kind:?}, len {len}");
+                            assert_eq!(bits(&got_s), bits(&want_s), "{name}, {kind:?}, len {len}");
+                        }
                     }
                 }
             }
